@@ -1,23 +1,15 @@
-"""Check phase: set-at-a-time (batch) vs tuple-at-a-time (legacy).
+"""Check phase cost of the set-at-a-time engine.
 
-The ISSUE-4 tentpole benchmark.  Both engines run the SAME incremental
-algorithm (partial differencing, Fig. 5); the only difference is how a
-partial differential executes:
-
-* **batch** (the default): compiled :class:`ClausePlan` per
-  differential, two shared evaluators per run, batched semi-join
-  negative guard;
-* **legacy** (``batch=False``): recursive generator evaluation with a
-  fresh evaluator per edge and a per-row ``holds()`` guard.
-
-Three workload shapes:
+Every partial differential executes as a compiled
+:class:`ClausePlan` against two shared evaluators per run, with a
+batched semi-join negative guard.  Three workload shapes:
 
 * **steady** — Fig. 6's few-changes transaction (one quantity update,
   rule stays untriggered), the monitoring steady state where per-check
   constant cost is everything;
 * **churn** — quantities flip below/above the threshold, so negative
   differentials produce deletion candidates and the guard actually
-  runs (batched semi-join vs per-row derivation);
+  runs;
 * **massive** — Fig. 7's one transaction updating 3 functions of ALL
   items, where per-tuple overhead is multiplied by the delta size.
 
@@ -25,15 +17,12 @@ Only the *check phase* is timed: the monitoring engine's ``process``
 entry point is wrapped with a perf_counter accumulator, so update
 logging, transaction bookkeeping, and rule actions are excluded.  Each
 cell takes the minimum over several trials (robust against scheduler
-noise), and the two engines' trials are *interleaved* within the same
-time window — measuring all legacy cells minutes before all batch
-cells let slow host drift (thermal throttling, noisy co-tenants) leak
-straight into the gated A/B ratio.  Full-transaction times land in the
-artifact ``meta`` for context.
+noise).  Full-transaction times land in the artifact ``meta`` for
+context.
 
 Persists ``BENCH_checkphase.json`` — the committed copy at the repo
 root is the baseline CI's bench-regression job compares against
-(see ``benchmarks/compare_checkphase.py``).
+(see ``benchmarks/compare.py``).
 
 Run:  pytest benchmarks/test_bench_checkphase.py -s
 """
@@ -44,13 +33,12 @@ import time
 
 import pytest
 
-from benchmarks.conftest import CheckPhaseTimer
+from benchmarks.conftest import CheckPhaseTimer, best_of
 
 from repro.bench.harness import Measurement, Sweep
 from repro.bench.workload import build_inventory
 
 SIZES = [100, 1000, 5000]
-ASSERT_SIZE = 5000  # the acceptance cell: >= 2x at 5000 items
 WARMUP = 50
 STEADY_TXNS = 400
 STEADY_TRIALS = 7
@@ -60,136 +48,92 @@ CHURN_SIZE = 1000
 MASSIVE_SIZE = 300
 MASSIVE_TRIALS = 5
 
-ENGINES = {"legacy": False, "batch": True}
 
-
-def build(n_items, batch):
-    workload = build_inventory(n_items, mode="incremental", batch=batch)
+def build(n_items):
+    workload = build_inventory(n_items, mode="incremental")
     workload.activate()
     return workload
 
 
-def interleave(trials, runners):
-    """Alternate single trials across the engines so both sample the
-    same time window; per series keep the best (check, total) pair."""
-    best = {series: (float("inf"), float("inf")) for series in runners}
-    for _ in range(trials):
-        for series, run_trial in runners.items():
-            check, total = run_trial()
-            best_check, best_total = best[series]
-            best[series] = (min(best_check, check), min(best_total, total))
-    return best
+def steady_cell(n_items):
+    workload = build(n_items)
+    for step in range(WARMUP):
+        workload.touch_one_item(step)
+    timer = CheckPhaseTimer(workload.amos.rules)
+    counter = [WARMUP]
+
+    def trial():
+        timer.seconds = 0.0
+        start = time.perf_counter()
+        for _ in range(STEADY_TXNS):
+            workload.touch_one_item(counter[0])
+            counter[0] += 1
+        return timer.seconds, time.perf_counter() - start
+
+    check, total = best_of(STEADY_TRIALS, trial)
+    return Measurement("batch", n_items, check, STEADY_TXNS), total / STEADY_TXNS
 
 
-def steady_cells(n_items):
-    runners = {}
-    for series, batch in ENGINES.items():
-        workload = build(n_items, batch)
-        for step in range(WARMUP):
-            workload.touch_one_item(step)
-        timer = CheckPhaseTimer(workload.amos.rules)
-        counter = [WARMUP]
-
-        def trial(workload=workload, timer=timer, counter=counter):
-            timer.seconds = 0.0
-            start = time.perf_counter()
-            for _ in range(STEADY_TXNS):
-                workload.touch_one_item(counter[0])
-                counter[0] += 1
-            return timer.seconds, time.perf_counter() - start
-
-        runners[series] = trial
-    return {
-        series: (
-            Measurement(series, n_items, check, STEADY_TXNS),
-            total / STEADY_TXNS,
-        )
-        for series, (check, total) in interleave(STEADY_TRIALS, runners).items()
-    }
-
-
-def churn_cells():
+def churn_cell():
     """Threshold-crossing workload: every other transaction drives one
     item below its threshold (rule fires), the next restores it (a
     negative root delta — the guard path)."""
-    runners = {}
-    workloads = {}
-    for series, batch in ENGINES.items():
-        workload = build(CHURN_SIZE, batch)
-        for step in range(10):
+    workload = build(CHURN_SIZE)
+    for step in range(10):
+        workload.touch_one_item(step, below=(step % 2 == 0))
+    timer = CheckPhaseTimer(workload.amos.rules)
+    counter = [0]
+
+    def trial():
+        timer.seconds = 0.0
+        start = time.perf_counter()
+        for _ in range(CHURN_TXNS):
+            step = counter[0]
             workload.touch_one_item(step, below=(step % 2 == 0))
-        timer = CheckPhaseTimer(workload.amos.rules)
-        counter = [0]
+            counter[0] += 1
+        return timer.seconds, time.perf_counter() - start
 
-        def trial(workload=workload, timer=timer, counter=counter):
-            timer.seconds = 0.0
-            start = time.perf_counter()
-            for _ in range(CHURN_TXNS):
-                step = counter[0]
-                workload.touch_one_item(step, below=(step % 2 == 0))
-                counter[0] += 1
-            return timer.seconds, time.perf_counter() - start
-
-        runners[series] = trial
-        workloads[series] = workload
-    results = interleave(CHURN_TRIALS, runners)
-    for workload in workloads.values():
-        assert workload.orders, "churn workload must actually fire the rule"
-    return {
-        series: (
-            Measurement(f"{series}-churn", CHURN_SIZE, check, CHURN_TXNS),
-            total / CHURN_TXNS,
-        )
-        for series, (check, total) in results.items()
-    }
+    check, total = best_of(CHURN_TRIALS, trial)
+    assert workload.orders, "churn workload must actually fire the rule"
+    return (
+        Measurement("batch-churn", CHURN_SIZE, check, CHURN_TXNS),
+        total / CHURN_TXNS,
+    )
 
 
-def massive_cells():
+def massive_cell():
     """Fig. 7's massive-update transaction (3 changed functions x all
     items) — one check phase driven by a size-O(n) delta."""
-    runners = {}
-    for series, batch in ENGINES.items():
-        workload = build(MASSIVE_SIZE, batch)
-        workload.massive_change()  # warm indexes and plan caches
-        timer = CheckPhaseTimer(workload.amos.rules)
+    workload = build(MASSIVE_SIZE)
+    workload.massive_change()  # warm indexes and plan caches
+    timer = CheckPhaseTimer(workload.amos.rules)
 
-        def trial(workload=workload, timer=timer):
-            timer.seconds = 0.0
-            start = time.perf_counter()
-            workload.massive_change()
-            return timer.seconds, time.perf_counter() - start
+    def trial():
+        timer.seconds = 0.0
+        start = time.perf_counter()
+        workload.massive_change()
+        return timer.seconds, time.perf_counter() - start
 
-        runners[series] = trial
-    return {
-        series: (
-            Measurement(f"{series}-massive", MASSIVE_SIZE, check, 1),
-            total,
-        )
-        for series, (check, total) in interleave(MASSIVE_TRIALS, runners).items()
-    }
+    check, total = best_of(MASSIVE_TRIALS, trial)
+    return Measurement("batch-massive", MASSIVE_SIZE, check, 1), total
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    result = Sweep(
-        "check phase — legacy (tuple-at-a-time) vs batch (compiled plans), "
-        "ms/transaction"
-    )
+    result = Sweep("check phase — batch (compiled plans), ms/transaction")
     full_txn_ms = {}
     for n_items in SIZES:
-        for series, (cell, full) in steady_cells(n_items).items():
-            result.add(cell)
-            full_txn_ms[f"{series}@{n_items}"] = full * 1000
-    for series, (cell, full) in churn_cells().items():
+        cell, full = steady_cell(n_items)
         result.add(cell)
-        full_txn_ms[f"{series}-churn@{CHURN_SIZE}"] = full * 1000
-    for series, (cell, full) in massive_cells().items():
-        result.add(cell)
-        full_txn_ms[f"{series}-massive@{MASSIVE_SIZE}"] = full * 1000
+        full_txn_ms[f"batch@{n_items}"] = full * 1000
+    cell, full = churn_cell()
+    result.add(cell)
+    full_txn_ms[f"batch-churn@{CHURN_SIZE}"] = full * 1000
+    cell, full = massive_cell()
+    result.add(cell)
+    full_txn_ms[f"batch-massive@{MASSIVE_SIZE}"] = full * 1000
     print()
     print(result.format_table())
-    speedup = result.ratio("legacy", "batch", ASSERT_SIZE)
-    print(f"  steady-state speedup at {ASSERT_SIZE} items: {speedup:.2f}x")
     artifact = result.persist(
         "checkphase",
         meta={
@@ -199,7 +143,6 @@ def sweep():
             "churn_transactions": CHURN_TXNS,
             "massive_items": MASSIVE_SIZE,
             "full_transaction_ms": full_txn_ms,
-            "speedup_at_%d" % ASSERT_SIZE: speedup,
         },
     )
     print(f"wrote {artifact}")
@@ -207,31 +150,11 @@ def sweep():
 
 
 class TestCheckPhase:
-    def test_batch_is_at_least_2x_at_5000_items(self, sweep):
-        """The acceptance cell: compiled set-at-a-time execution must
-        at least halve the steady-state check-phase cost at 5000
-        items (measured 2.0-2.6x on the development host)."""
-        ratio = sweep.ratio("legacy", "batch", ASSERT_SIZE)
-        assert ratio is not None and ratio >= 2.0, ratio
-
-    def test_batch_wins_at_every_steady_size(self, sweep):
-        for n_items in SIZES:
-            ratio = sweep.ratio("legacy", "batch", n_items)
-            assert ratio is not None and ratio > 1.0, (n_items, ratio)
-
     def test_batch_stays_flat_in_database_size(self, sweep):
         """Fig. 6's claim must survive the batch engine: steady-state
         check cost independent of the database size."""
         costs = [cost for _, cost in sweep.series("batch")]
         assert max(costs) < 12 * min(costs), costs
-
-    def test_batched_guard_not_slower_on_churn(self, sweep):
-        ratio = sweep.ratio("legacy-churn", "batch-churn", CHURN_SIZE)
-        assert ratio is not None and ratio > 0.8, ratio
-
-    def test_batch_not_slower_on_massive_change(self, sweep):
-        ratio = sweep.ratio("legacy-massive", "batch-massive", MASSIVE_SIZE)
-        assert ratio is not None and ratio > 0.8, ratio
 
     def test_persists_artifact(self, sweep):
         path = os.path.join(
@@ -241,6 +164,5 @@ class TestCheckPhase:
         assert os.path.exists(path)
         with open(path) as handle:
             on_disk = json.load(handle)
-        assert on_disk["meta"]["speedup_at_%d" % ASSERT_SIZE] >= 2.0
         series = {row["series"] for row in on_disk["rows"]}
-        assert {"batch", "legacy", "batch-churn", "legacy-churn"} <= series
+        assert {"batch", "batch-churn", "batch-massive"} <= series

@@ -9,19 +9,20 @@ kernel exists for (see :class:`repro.bench.workload.MultiwayWorkload`):
     r(x, y) ∧ big(y, z) ∧ small(x, z) ∧ val(z) < 0
 
 * **massive** — one transaction inserts ``SLICE_SIZE`` fresh ``r`` rows
-  (a previously untouched source slice, so deltas are plus-only and the
-  higher-order memo misses identically on both sides).  The pairwise
+  (a previously untouched source slice, so deltas are plus-only and
+  previously unseen).  The pairwise
   chain enumerates ``fanout(big)`` intermediate bindings per delta row;
   the kernel intersects ``big(y,·) ∩ small(x,·) ∩ val`` per level.
 * **churn** — the same slice's rows toggled in and out, wave after
-  wave: plus waves ride the higher-order memo, minus waves take the
-  old-state pairwise path on BOTH sides.  This series is a parity
-  gate (the kernel must not make churn slower), not a speedup claim.
+  wave: plus waves re-run the new-state join (kernel vs chain), minus
+  waves take the old-state pairwise path on BOTH sides.  This series
+  is a parity gate (the kernel must not make churn slower), not a
+  speedup claim.
 
 Only the check phase is timed (``CheckPhaseTimer``); each cell is the
 minimum over trials.  Persists ``BENCH_joinkernel.json`` — the
 committed copy at the repo root is CI's baseline
-(``benchmarks/compare_joinkernel.py``).
+(``benchmarks/compare.py``).
 
 Run:  pytest benchmarks/test_bench_joinkernel.py -s
 """
@@ -59,7 +60,7 @@ def build(n_spokes, n_slices, wcoj):
 
 def massive_cell(series, n_spokes, wcoj):
     """Fresh-slice insert transactions: every trial's delta rows are
-    previously unseen, so nothing is memo-masked on either side."""
+    previously unseen, so no cache masks the join on either side."""
     n_slices = MASSIVE_WARMUP_SLICES + MASSIVE_TRIALS
     workload = build(n_spokes, n_slices, wcoj)
     for warm in range(MASSIVE_WARMUP_SLICES):
@@ -81,7 +82,7 @@ def massive_cell(series, n_spokes, wcoj):
 
 def churn_cell(series, wcoj):
     """Slice 0 toggled out and back in, CHURN_WAVES transactions per
-    trial — the memo-hit/old-state-guard steady state."""
+    trial — the re-join/old-state-guard steady state."""
     workload = build(CHURN_SIZE, 1, wcoj)
     workload.massive_join_txn(0)
     workload.churn_txn(0, present=False)
@@ -158,7 +159,7 @@ class TestJoinKernel:
         assert max(costs) < 12 * min(costs), costs
 
     def test_churn_parity(self, sweep):
-        """Tries + memos must not slow the toggle workload down."""
+        """Trie maintenance must not slow the toggle workload down."""
         ratio = sweep.ratio("pairwise-churn", "wcoj-churn", CHURN_SIZE)
         assert ratio is not None and ratio > 0.8, ratio
 

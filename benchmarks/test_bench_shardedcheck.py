@@ -35,7 +35,7 @@ directions.
 
 Persists ``BENCH_shardedcheck.json`` — the committed copy at the repo
 root is the baseline CI's bench-regression job compares against
-(``benchmarks/compare_shardedcheck.py``; the ``shards1`` series gate
+(``benchmarks/compare.py``; the ``shards1`` series gate
 on regression, the speedup bar gates on ≥ 4-CPU hosts, and the
 churn/steady small-transaction bars gate everywhere).
 

@@ -7,7 +7,7 @@ Two questions with machine-independent answers (docs/DURABILITY.md):
   deferred condition monitoring is the dominant commit cost) the
   durable path must stay within ``OVERHEAD_BUDGET`` (25%) of the
   in-memory baseline; the acceptance bar of ISSUE 6 and the gated cell
-  of ``benchmarks/compare_wal.py``.
+  of ``benchmarks/compare.py``.
 * **Recovery rate** — replaying committed Δ-sets beneath the rule
   machinery is raw set arithmetic, so recovering 10k commits must run
   orders of magnitude faster than executing them did.

@@ -119,13 +119,6 @@ class NewStateView(StateView):
         """
         return self._db.relation(name).trie_index(order, auto=True)
 
-    def versions_of(self, names: Sequence[str]) -> Tuple[int, ...]:
-        """The version counters of ``names``, in order — the validity
-        snapshot for higher-order delta memos (any physical change to a
-        support relation bumps its version, including rollback replay)."""
-        relation = self._db.relation
-        return tuple(relation(name).version for name in names)
-
     def cardinality(self, name: str) -> int:
         return len(self._db.relation(name))
 

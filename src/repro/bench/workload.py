@@ -133,8 +133,8 @@ class MultiwayWorkload:
 
     Sources are pre-created in disjoint *slices*: each massive
     transaction touches a fresh slice, so every delta row is plus-only
-    and previously unseen (the higher-order memo misses identically on
-    both sides of the A/B — the measured difference is the kernel).
+    and previously unseen (no cache helps either side of the A/B — the
+    measured difference is the kernel).
     """
 
     amos: AmosDatabase

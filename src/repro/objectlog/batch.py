@@ -546,8 +546,8 @@ class ClausePlan:
         ]
 
     def emit_row(self, regs: Regs) -> Row:
-        """The head row for one final register list (higher-order delta
-        materialization emits per-seed, bypassing :meth:`rows`)."""
+        """The head row for one final register list (compiled derived
+        sub-queries emit per seed, bypassing :meth:`rows`)."""
         return tuple(
             regs[value] if is_slot else value for is_slot, value in self._emit
         )

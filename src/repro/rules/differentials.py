@@ -20,27 +20,13 @@ the negation in the evaluation state so only genuine transitions pass.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional
 
-from repro.errors import UnsafeClauseError
 from repro.objectlog.clause import HornClause
 from repro.objectlog.literals import PredLiteral
-from repro.objectlog.program import (
-    BasePredicate,
-    DerivedPredicate,
-    Program,
-)
-from repro.objectlog.terms import Variable, ordered_variables
-from repro.obs import metrics
 
-__all__ = [
-    "PartialDifferentialClause",
-    "HigherOrderDelta",
-    "generate_differentials",
-    "maybe_higher_order",
-]
+__all__ = ["PartialDifferentialClause", "generate_differentials"]
 
 
 @dataclass(frozen=True)
@@ -88,10 +74,6 @@ class PartialDifferentialClause:
     occurrence: int
     static: bool = False
     plan: Optional[object] = field(default=None, compare=False, repr=False)
-    #: the edge's second-order differential (:class:`HigherOrderDelta`),
-    #: attached at network-construction time for eligible new-state
-    #: edges; None when the edge cannot be memoized safely
-    ho: Optional[object] = field(default=None, compare=False, repr=False)
 
     def label(self) -> str:
         """Human-readable name, e.g. ``Δcnd_monitor_items/Δ+quantity``."""
@@ -99,296 +81,6 @@ class PartialDifferentialClause:
 
     def __repr__(self) -> str:
         return f"<{self.label()} [{self.output_sign}] occ={self.occurrence}>"
-
-
-#: how many delta rows one edge's higher-order memo retains (LRU).
-#: DBToaster materializes its higher-order deltas unconditionally; here
-#: the memo grows only for rows that actually arrive, so the budget is
-#: a ceiling on the hottest edges, not a preallocation.
-HO_BUDGET = 4096
-
-#: probation window: after this many memo lookups an edge whose hit
-#: rate stayed below 1/HO_DISABLE_FACTOR disables its memo for good —
-#: cold edges (every delta row new) pay pure bookkeeping otherwise
-HO_PROBATION = 256
-HO_DISABLE_FACTOR = 16
-
-#: provenance register carrying each delta row through the
-#: second-order plan (mirrors the batched guard's ``_GUARD_ROW``)
-_HO_ROW = Variable("_HO_ROW")
-
-
-class HigherOrderDelta:
-    """A materialized second-order differential for one network edge.
-
-    The first-order differential ``dP/d+X`` joins each arriving delta
-    row of X against the *unchanged* base relations of the clause body
-    — and on a hot edge the same delta rows keep arriving wave after
-    wave (retried updates, churn, oscillating values), re-running the
-    identical join every time.  DBToaster's higher-order view
-    maintenance (Ahmad & Koch) materializes the differential of the
-    differential so that repeat inputs become lookups.
-
-    This class is that idea under the repo's budget discipline: a
-    bounded LRU memo ``delta row -> frozenset(head rows)`` whose
-    validity is pinned to a version snapshot of every *support*
-    relation (each base relation the rest of the body reads, through
-    derived predicates).  Any physical change to a support relation —
-    including WAL-recovery replay and rollback — bumps its version and
-    invalidates the memo wholesale, the same epoch discipline the
-    index/eviction machinery uses.  Misses are executed set-at-a-time:
-    one batched run of the *residual plan* (the differential clause
-    minus its delta literal, delta variables seeded from each row, the
-    row riding in a provenance register).
-
-    Only edges whose support excludes the influent itself qualify: a
-    self-joining or negation-guarded edge re-reads the very relation
-    whose change triggered the wave, so its memo would invalidate on
-    every arrival and never pay for itself
-    (:func:`maybe_higher_order` returns None for those).
-    """
-
-    __slots__ = (
-        "plan",
-        "prov_slot",
-        "unify_ops",
-        "support",
-        "hits",
-        "misses",
-        "dead",
-        "_versions",
-        "_memo",
-    )
-
-    def __init__(
-        self,
-        plan,
-        prov_slot: int,
-        unify_ops: Tuple[Tuple[int, int, object], ...],
-        support: Tuple[str, ...],
-    ) -> None:
-        self.plan = plan
-        self.prov_slot = prov_slot
-        #: opcodes unifying a delta row against the delta literal's
-        #: args: (0, slot, pos) set register, (1, pos, const) check a
-        #: constant, (2, pos, other_pos) check a repeated variable
-        self.unify_ops = unify_ops
-        #: support relation names, sorted — the version-snapshot key
-        self.support = support
-        #: lifetime lookup tally — :meth:`worthwhile` reads these to
-        #: retire a memo the workload never repeats into
-        self.hits = 0
-        self.misses = 0
-        self.dead = False
-        self._versions: Optional[Tuple[int, ...]] = None
-        self._memo: "OrderedDict[Tuple, FrozenSet]" = OrderedDict()
-
-    def worthwhile(self) -> bool:
-        """Whether the memo should keep intercepting this edge.
-
-        Memoization only pays when delta rows repeat.  After
-        ``HO_PROBATION`` lookups with a hit rate below
-        ``1/HO_DISABLE_FACTOR`` the memo retires permanently (measured:
-        ~16% steady-state overhead on a workload of always-fresh rows)
-        and the dispatcher falls back to the edge's ordinary plan.
-        Invalidation wholesale-clears the memo but does not reset the
-        tally — a support relation that churns every transaction is
-        exactly the case probation exists for.
-        """
-        if self.dead:
-            return False
-        total = self.hits + self.misses
-        if total >= HO_PROBATION and self.hits * HO_DISABLE_FACTOR < total:
-            self.dead = True
-            self._memo.clear()
-            self._versions = None
-            reg = metrics.ACTIVE
-            if reg is not None:
-                reg.counter("join.ho_disabled").inc()
-            return False
-        return True
-
-    def rows(self, evaluator, input_rows: Iterable[Tuple]) -> FrozenSet[Tuple]:
-        """All head rows produced for ``input_rows``, memo-accelerated."""
-        reg = metrics.ACTIVE
-        memo = self._memo
-        versions = evaluator.view.versions_of(self.support)
-        if versions != self._versions:
-            if memo:
-                memo.clear()
-                if reg is not None:
-                    reg.counter("join.ho_invalidations").inc()
-            self._versions = versions
-        out: Set[Tuple] = set()
-        misses: List[Tuple] = []
-        hits = 0
-        for row in input_rows:
-            cached = memo.get(row)
-            if cached is not None:
-                memo.move_to_end(row)
-                out |= cached
-                hits += 1
-            else:
-                misses.append(row)
-        self.hits += hits
-        self.misses += len(misses)
-        if reg is not None:
-            if hits:
-                reg.counter("join.ho_hits").inc(hits)
-            if misses:
-                reg.counter("join.ho_misses").inc(len(misses))
-        if misses:
-            plan = self.plan
-            prov_slot = self.prov_slot
-            unify_ops = self.unify_ops
-            grouped: Dict[Tuple, Set[Tuple]] = {}
-            seeds: List[List] = []
-            for row in misses:
-                regs = [None] * plan.n_slots
-                regs[prov_slot] = row
-                ok = True
-                for op, a, b in unify_ops:
-                    if op == 0:
-                        regs[a] = row[b]
-                    elif op == 1:
-                        if row[a] != b:
-                            ok = False
-                            break
-                    elif row[a] != row[b]:
-                        ok = False
-                        break
-                if ok:
-                    grouped[row] = set()
-                    seeds.append(regs)
-                else:
-                    # the row cannot unify with this occurrence's
-                    # argument pattern — a definitive empty result
-                    memo[row] = frozenset()
-            if seeds:
-                for regs in plan.execute(evaluator, seeds):
-                    grouped[regs[prov_slot]].add(plan.emit_row(regs))
-            for row, produced in grouped.items():
-                frozen = frozenset(produced)
-                memo[row] = frozen
-                out |= frozen
-            evicted = 0
-            while len(memo) > HO_BUDGET:
-                memo.popitem(last=False)
-                evicted += 1
-            if evicted and reg is not None:
-                reg.counter("join.ho_evictions").inc(evicted)
-        if reg is not None:
-            reg.histogram("join.ho_memo_size").observe(len(memo))
-        return frozenset(out)
-
-    def __repr__(self) -> str:
-        return (
-            f"HigherOrderDelta(support={list(self.support)}, "
-            f"memo={len(self._memo)})"
-        )
-
-
-def _support_closure(
-    body: Iterable, program: Program
-) -> Optional[Tuple[str, ...]]:
-    """Every base relation the body reads, through derived predicates.
-
-    None when the body (transitively) reaches a foreign or aggregate
-    predicate — their results cannot be validated by relation versions,
-    so the edge is ineligible for higher-order memoization.
-    """
-    support: Set[str] = set()
-    seen: Set[str] = set()
-
-    def visit(literal) -> bool:
-        if not isinstance(literal, PredLiteral):
-            return True
-        name = literal.pred
-        if name in seen:
-            return True
-        definition = program.predicate(name)
-        if isinstance(definition, BasePredicate):
-            support.add(name)
-            seen.add(name)
-            return True
-        if isinstance(definition, DerivedPredicate):
-            seen.add(name)
-            for clause in definition.clauses:
-                for sub in clause.body:
-                    if not visit(sub):
-                        return False
-            return True
-        return False  # foreign / aggregate: not version-trackable
-
-    for literal in body:
-        if not visit(literal):
-            return None
-    return tuple(sorted(support))
-
-
-def maybe_higher_order(
-    differential: "PartialDifferentialClause",
-    program: Program,
-    wcoj: bool = False,
-) -> Optional[HigherOrderDelta]:
-    """Build the edge's second-order differential, when it can pay off.
-
-    Eligibility: a new-state differential whose body — minus the delta
-    literal — reads at least one version-trackable relation, none of
-    which is the influent itself (a support relation that changes on
-    every arriving wave would invalidate the memo before any hit).
-    """
-    if differential.state != "new":
-        return None
-    clause = differential.clause
-    delta_literal = None
-    rest: List = []
-    for literal in clause.body:
-        if (
-            isinstance(literal, PredLiteral)
-            and literal.delta is not None
-            and delta_literal is None
-        ):
-            delta_literal = literal
-        else:
-            rest.append(literal)
-    if delta_literal is None or not any(
-        isinstance(literal, PredLiteral) for literal in rest
-    ):
-        return None
-    support = _support_closure(rest, program)
-    if support is None or not support:
-        return None
-    if differential.influent in support:
-        return None
-    from repro.objectlog.batch import compile_plan
-
-    delta_vars = ordered_variables(delta_literal.variables())
-    try:
-        plan = compile_plan(
-            HornClause(clause.head, rest),
-            program,
-            bound_vars=[_HO_ROW] + delta_vars,
-            wcoj=wcoj,
-        )
-    except UnsafeClauseError:
-        return None
-    slot_of = plan.slot_of
-    unify_ops: List[Tuple[int, int, object]] = []
-    first_pos: Dict[int, int] = {}
-    for pos, arg in enumerate(delta_literal.args):
-        if isinstance(arg, Variable):
-            slot = slot_of[arg]
-            if slot in first_pos:
-                unify_ops.append((2, pos, first_pos[slot]))
-            else:
-                first_pos[slot] = pos
-                unify_ops.append((0, slot, pos))
-        else:
-            unify_ops.append((1, pos, arg))
-    return HigherOrderDelta(
-        plan, slot_of[_HO_ROW], tuple(unify_ops), support
-    )
 
 
 def generate_differentials(

@@ -102,44 +102,25 @@ class IncrementalEngine(MonitoringEngine):
         program: Program,
         shared_nodes: FrozenSet[str] = frozenset(),
         negatives: bool = True,
-        guard_negatives: bool = True,
-        batch: bool = True,
         wcoj: bool = True,
-        higher_order: bool = True,
     ) -> None:
         self.db = db
         self.program = program
         self.shared_nodes = frozenset(shared_nodes)
         self.negatives = negatives
-        self.guard_negatives = guard_negatives
-        #: set-at-a-time execution (compiled plans, shared evaluators,
-        #: batched negative guards); False selects the legacy
-        #: tuple-at-a-time reference path
-        self.batch = batch
         #: WCOJ kernel selection for multi-way new-state differentials
         self.wcoj = wcoj
-        #: budgeted second-order differentials on eligible edges
-        self.higher_order = higher_order
-        self.network = PropagationNetwork(
-            program, negatives=negatives, wcoj=wcoj, higher_order=higher_order
-        )
-        self._propagator = Propagator(
-            program, db, self.network,
-            guard_negatives=guard_negatives, batch=batch,
-        )
+        self.network = PropagationNetwork(program, negatives=negatives, wcoj=wcoj)
+        self._propagator = Propagator(program, db, self.network)
         self._influents: Dict[str, FrozenSet[str]] = {}
 
     def rebuild(self, conditions: Mapping[str, FrozenSet[str]]) -> None:
         self.network = PropagationNetwork(
-            self.program, negatives=self.negatives,
-            wcoj=self.wcoj, higher_order=self.higher_order,
+            self.program, negatives=self.negatives, wcoj=self.wcoj
         )
         for condition in sorted(conditions):
             self.network.add_condition(condition, keep=self.shared_nodes)
-        self._propagator = Propagator(
-            self.program, self.db, self.network,
-            guard_negatives=self.guard_negatives, batch=self.batch,
-        )
+        self._propagator = Propagator(self.program, self.db, self.network)
         self._influents = dict(conditions)
 
     def process(
@@ -214,16 +195,13 @@ class HybridEngine(MonitoringEngine):
         program: Program,
         switch_ratio: float = 0.2,
         shared_nodes: FrozenSet[str] = frozenset(),
-        batch: bool = True,
         wcoj: bool = True,
-        higher_order: bool = True,
     ) -> None:
         self.db = db
         self.program = program
         self.switch_ratio = switch_ratio
         self._incremental = IncrementalEngine(
-            db, program, shared_nodes=shared_nodes, batch=batch,
-            wcoj=wcoj, higher_order=higher_order,
+            db, program, shared_nodes=shared_nodes, wcoj=wcoj
         )
         self._influents: Dict[str, FrozenSet[str]] = {}
         #: how each condition was handled last time (for tests/reporting)

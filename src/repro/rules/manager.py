@@ -120,9 +120,7 @@ class RuleManager:
         hybrid_switch_ratio: float = 0.2,
         processing: str = "deferred",
         observe: bool = False,
-        batch: bool = True,
         wcoj: bool = True,
-        higher_order: bool = True,
         shards: Union[int, str] = "auto",
         shard_options: Optional[Dict] = None,
     ) -> None:
@@ -145,15 +143,9 @@ class RuleManager:
         self.program = program
         self.mode = mode
         self.processing = processing
-        #: set-at-a-time check phase (compiled differential plans,
-        #: shared evaluators, batched guards); False falls back to the
-        #: legacy tuple-at-a-time reference engine
-        self.batch = batch
         #: WCOJ kernel selection for multi-way join differentials
         #: (incremental/hybrid/sharded engines; repro.objectlog.join)
         self.wcoj = wcoj
-        #: budgeted second-order differentials for hot network edges
-        self.higher_order = higher_order
         self.explain = explain
         #: collect per-commit metrics/spans (see repro.obs); read the
         #: results via last_check_stats / last_check_trace
@@ -186,15 +178,13 @@ class RuleManager:
                 shards=shards,
                 shared_nodes=shared_nodes,
                 negatives=negatives,
-                batch=batch,
                 wcoj=wcoj,
-                higher_order=higher_order,
                 **(shard_options or {}),
             )
         elif mode == "incremental":
             self.engine = IncrementalEngine(
                 db, program, shared_nodes=shared_nodes, negatives=negatives,
-                batch=batch, wcoj=wcoj, higher_order=higher_order,
+                wcoj=wcoj,
             )
         elif mode == "naive":
             self.engine = NaiveEngine(db, program)
@@ -204,9 +194,7 @@ class RuleManager:
                 program,
                 switch_ratio=hybrid_switch_ratio,
                 shared_nodes=shared_nodes,
-                batch=batch,
                 wcoj=wcoj,
-                higher_order=higher_order,
             )
         else:
             raise RuleError(f"unknown monitoring mode {mode!r}")
@@ -551,16 +539,11 @@ class RuleManager:
                 "max", 0
             ),
             # join kernels (docs/PERFORMANCE.md "Join kernels"): WCOJ
-            # kernel activity, trie index maintenance, and the
-            # second-order differential memo's hit economy
+            # kernel activity and trie index maintenance
             "wcoj_kernel_runs": counters.get("join.kernel_runs", 0),
             "wcoj_kernel_emits": counters.get("join.kernel_emits", 0),
             "trie_builds": counters.get("join.trie_builds", 0),
             "trie_evictions": counters.get("join.trie_evictions", 0),
-            "ho_hits": counters.get("join.ho_hits", 0),
-            "ho_misses": counters.get("join.ho_misses", 0),
-            "ho_invalidations": counters.get("join.ho_invalidations", 0),
-            "ho_disabled": counters.get("join.ho_disabled", 0),
             "prober_cache_hits": counters.get(
                 "evaluate.prober_cache.hits", 0
             ),

@@ -111,7 +111,6 @@ class PropagationNetwork:
         negatives: bool = True,
         optimize: bool = True,
         wcoj: bool = True,
-        higher_order: bool = True,
     ) -> None:
         self.program = program
         self.negatives = negatives
@@ -122,9 +121,6 @@ class PropagationNetwork:
         #: worst-case-optimal kernel (new-state differentials only;
         #: see repro.objectlog.join)
         self.wcoj = wcoj
-        #: attach budgeted second-order differentials to eligible
-        #: new-state edges (see repro.rules.differentials)
-        self.higher_order = higher_order
         self.nodes: Dict[str, NetworkNode] = {}
         self._edges: Dict[Tuple[str, str], NetworkEdge] = {}
         self._bottom_up: Optional[List[NetworkNode]] = None
@@ -218,13 +214,10 @@ class PropagationNetwork:
 
         With :attr:`wcoj` the compiler cost-selects the WCOJ kernel for
         multi-way new-state bodies (old-state differentials stay on the
-        pairwise chain — tries mirror the live relations); with
-        :attr:`higher_order` eligible new-state edges additionally get
-        a budgeted second-order differential memo.
+        pairwise chain — tries mirror the live relations).
         """
         from repro.errors import UnsafeClauseError
         from repro.objectlog.batch import compile_plan
-        from repro.rules.differentials import maybe_higher_order
 
         try:
             ordered = order_clause(differential.clause, self.program)
@@ -235,14 +228,9 @@ class PropagationNetwork:
             plan = compile_plan(ordered, self.program, wcoj=wcoj)
         except UnsafeClauseError:  # pragma: no cover - ordered bodies compile
             plan = None
-        out = dataclasses.replace(
+        return dataclasses.replace(
             differential, clause=ordered, static=True, plan=plan
         )
-        if plan is not None and self.higher_order:
-            ho = maybe_higher_order(out, self.program, wcoj=wcoj)
-            if ho is not None:
-                out = dataclasses.replace(out, ho=ho)
-        return out
 
     def _edge(self, source: NetworkNode, target: NetworkNode) -> NetworkEdge:
         key = (source.name, target.name)

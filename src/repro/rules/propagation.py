@@ -23,18 +23,14 @@ Positive differentials are evaluated in the NEW state, negative ones in
 the OLD state, reconstructed on demand by logical rollback from the
 very delta-sets being propagated.
 
-Two execution engines share this control loop:
-
-* the **batch** engine (default): each differential executes its
-  compiled set-at-a-time :class:`~repro.objectlog.batch.ClausePlan`
-  against one of exactly two evaluators per run (new-state and
-  old-state) whose derived-predicate memos amortize across the whole
-  wave front; negative candidates are guarded by ONE batched semi-join
-  per differential instead of one top-down derivation per tuple;
-* the **legacy** tuple-at-a-time engine (``batch=False``): a fresh
-  evaluator per edge and a per-row ``holds()`` guard — kept as the
-  reference implementation the A/B equivalence suite pins the batch
-  engine against.
+Execution is set-at-a-time: each differential executes its compiled
+:class:`~repro.objectlog.batch.ClausePlan` against one of exactly two
+evaluators per run (new-state and old-state) whose derived-predicate
+memos amortize across the whole wave front, and negative candidates
+are guarded by ONE batched semi-join per differential instead of one
+top-down derivation per tuple.  A differential or guard target with no
+safe static order falls back to the tuple-at-a-time evaluator
+(``solve_clause`` / per-row ``holds()``) on the same two evaluators.
 """
 
 from __future__ import annotations
@@ -109,15 +105,11 @@ class Propagator:
         db: Database,
         network: PropagationNetwork,
         guard_negatives: bool = True,
-        batch: bool = True,
     ) -> None:
         self.program = program
         self.db = db
         self.network = network
         self.guard_negatives = guard_negatives
-        #: set-at-a-time execution (compiled plans, shared evaluators,
-        #: batched guards); False selects the legacy tuple-at-a-time path
-        self.batch = batch
         #: statistics of the last run (differentials executed, tuples produced)
         self.last_trace: Optional[PropagationTrace] = None
         #: rows currently materialized across all node delta-sets,
@@ -133,17 +125,18 @@ class Propagator:
         self._guard_plans: Dict[
             str, Optional[List[Tuple[Tuple, ClausePlan]]]
         ] = {}
-        # batch mode keeps ONE pair of state views and evaluators for
-        # the propagator's lifetime; run() resets them per transaction
+        # ONE old-state view and ONE pair of evaluators for the
+        # propagator's lifetime; run() resets them per transaction
         # instead of reallocating (the check phase is the serialized
-        # section — constant per-run cost is paid under the lock)
-        self._new_view = NewStateView(db)
+        # section — constant per-run cost is paid under the lock), and
+        # within a run their derived-predicate memos amortize across
+        # every edge and the aggregate path
         self._old_view = OldStateView(db, {})
         # compile_derived: sub-derivations (e.g. the running example's
         # threshold function probed once per differential row) run as
         # compiled plans too; the plans amortize over the propagator's
-        # lifetime, which a per-edge legacy evaluator cannot do
-        self._new_eval = Evaluator(program, self._new_view, compile_derived=True)
+        # lifetime
+        self._new_eval = Evaluator(program, NewStateView(db), compile_derived=True)
         self._old_eval = Evaluator(program, self._old_view, compile_derived=True)
 
     def run(
@@ -177,22 +170,9 @@ class Propagator:
         if old_deltas is None:
             old_deltas = base_deltas
         tracer = PropagationTrace() if trace else None
-        if self.batch:
-            # exactly two evaluators per run: derived-predicate memos
-            # amortize across every edge and the aggregate path
-            new_view = self._new_view
-            old_view = self._old_view
-            old_view.reset(old_deltas)
-            new_eval = self._new_eval
-            old_eval = self._old_eval
-            new_eval.reset()
-            old_eval.reset()
-            guard_eval = new_eval
-        else:
-            new_view = NewStateView(self.db)
-            old_view = OldStateView(self.db, old_deltas)
-            new_eval = old_eval = None
-            guard_eval = Evaluator(self.program, new_view)
+        self._old_view.reset(old_deltas)
+        self._new_eval.reset()
+        self._old_eval.reset()
         reg = metrics.ACTIVE
         tr = tracing.ACTIVE
         run_span = tr.begin("propagate") if tr is not None else None
@@ -217,24 +197,17 @@ class Propagator:
                     results[node.name] = frozen
                 for edge in node.out_edges:
                     if edge.aggregate is not None:
-                        self._execute_aggregate(
-                            edge, frozen, new_view, old_view,
-                            new_eval, old_eval, tracer, reg, tr,
-                        )
+                        self._execute_aggregate(edge, frozen, tracer, reg, tr)
                         continue
                     if frozen.plus:
                         for differential in edge.positive:
                             self._dispatch(
-                                differential, frozen, new_view, old_view,
-                                new_eval, old_eval, guard_eval, edge.target,
-                                tracer, reg, tr,
+                                differential, frozen, edge.target, tracer, reg, tr
                             )
                     if frozen.minus:
                         for differential in edge.negative:
                             self._dispatch(
-                                differential, frozen, new_view, old_view,
-                                new_eval, old_eval, guard_eval, edge.target,
-                                tracer, reg, tr,
+                                differential, frozen, edge.target, tracer, reg, tr
                             )
                 # the wave-front peak is right now: this node's delta is
                 # still materialized and its out-edges have already
@@ -296,11 +269,6 @@ class Propagator:
         self,
         differential: PartialDifferentialClause,
         source_delta: DeltaSet,
-        new_view: NewStateView,
-        old_view: OldStateView,
-        new_eval: Optional[Evaluator],
-        old_eval: Optional[Evaluator],
-        guard_eval: Evaluator,
         target: NetworkNode,
         tracer: Optional[PropagationTrace],
         reg=None,
@@ -312,31 +280,12 @@ class Propagator:
             if differential.input_sign == "+"
             else source_delta.minus
         )
-        if self.batch:
-            evaluator = new_eval if differential.state == "new" else old_eval
-            ho = differential.ho
-            if ho is not None and ho.worthwhile():
-                # second-order differential: repeat delta rows answer
-                # from the memo, misses batch through the residual plan
-                # (which reads no delta literal, so no set_delta here)
-                produced = ho.rows(evaluator, input_rows)
-            else:
-                evaluator.set_delta(differential.influent, source_delta)
-                plan = differential.plan
-                if plan is not None:
-                    produced = frozenset(plan.rows(evaluator))
-                else:
-                    produced = frozenset(
-                        evaluator.solve_clause(
-                            differential.clause, static=differential.static
-                        )
-                    )
+        evaluator = self._new_eval if differential.state == "new" else self._old_eval
+        evaluator.set_delta(differential.influent, source_delta)
+        plan = differential.plan
+        if plan is not None:
+            produced = frozenset(plan.rows(evaluator))
         else:
-            evaluator = Evaluator(
-                self.program,
-                new_view if differential.state == "new" else old_view,
-                deltas={differential.influent: source_delta},
-            )
             produced = frozenset(
                 evaluator.solve_clause(
                     differential.clause, static=differential.static
@@ -346,18 +295,8 @@ class Propagator:
         if produced and differential.output_sign == "-" and self.guard_negatives:
             if reg is not None:
                 reg.counter("propagation.guard_checks").inc(len(produced))
-            if self.batch:
-                still_present = self._guard_batch(
-                    differential.target, produced, guard_eval, reg
-                )
-            else:
-                still_present = frozenset(
-                    row
-                    for row in produced
-                    if guard_eval.holds(differential.target, row)
-                )
-            guarded_away = still_present
-            produced = produced - still_present
+            guarded_away = self._guard_batch(differential.target, produced, reg)
+            produced = produced - guarded_away
         cancelled = 0
         if produced:
             if differential.output_sign == "+":
@@ -446,7 +385,6 @@ class Propagator:
         self,
         target: str,
         produced: FrozenSet[Row],
-        guard_eval: Evaluator,
         reg=None,
     ) -> FrozenSet[Row]:
         """Deletion candidates still derivable in the new state.
@@ -457,6 +395,7 @@ class Propagator:
         and a single batch execution re-derives all of them at once
         against the shared memoizing new-state evaluator.
         """
+        guard_eval = self._new_eval
         plans = self._guard_plans_for(target)
         if plans is None:
             return frozenset(
@@ -504,10 +443,6 @@ class Propagator:
         self,
         edge,
         source_delta: DeltaSet,
-        new_view: NewStateView,
-        old_view: OldStateView,
-        new_eval: Optional[Evaluator],
-        old_eval: Optional[Evaluator],
         tracer: Optional[PropagationTrace],
         reg=None,
         tr=None,
@@ -517,9 +452,9 @@ class Propagator:
         Only the groups whose source rows changed are recomputed — in
         the new state directly, in the old state by logical rollback —
         and the difference of their aggregate rows becomes the node's
-        delta.  This is exact (no guard needed).  In batch mode the two
-        shared run evaluators serve the group queries, so sub-predicate
-        memos carry over from the differential edges.
+        delta.  This is exact (no guard needed).  The two shared run
+        evaluators serve the group queries, so sub-predicate memos
+        carry over from the differential edges.
         """
         definition = edge.aggregate
         n_group = definition.n_group
@@ -530,10 +465,8 @@ class Propagator:
             return
         label = f"Δ{definition.name}/Δ{edge.source.name} [groups]"
         span = tr.begin(f"edge:{label}") if tr is not None else None
-        if new_eval is None:
-            new_eval = Evaluator(self.program, new_view)
-        if old_eval is None:
-            old_eval = Evaluator(self.program, old_view)
+        new_eval = self._new_eval
+        old_eval = self._old_eval
         plus: set = set()
         minus: set = set()
         from repro.objectlog.terms import fresh_variable

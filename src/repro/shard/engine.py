@@ -18,8 +18,9 @@ no cross-shard delta-union cancellation can occur: the merge is a
 plain union, independent of shard order, bit-identical to the serial
 run.  Aggregate edges recompute touched groups exactly from full
 state, so duplicated cross-shard group deltas merge idempotently.
-This argument needs ``guard_negatives`` (the engine enforces it) and
-is pinned end to end by the sharded-≡-serial oracle
+This argument needs the §7.2 negative guard (engines always run it;
+only a bare :class:`~repro.rules.propagation.Propagator` can switch it
+off) and is pinned end to end by the sharded-≡-serial oracle
 (``tests/oracle/test_shard_equivalence.py``).
 
 Two things changed from the original fork-per-check-phase design:
@@ -120,9 +121,7 @@ class ShardedEngine(IncrementalEngine):
         shards: int = 1,
         shared_nodes: FrozenSet[str] = frozenset(),
         negatives: bool = True,
-        batch: bool = True,
         wcoj: bool = True,
-        higher_order: bool = True,
         key_columns: Optional[Mapping] = None,
         wave_timeout: Optional[float] = 120.0,
         policy: str = "auto",
@@ -140,17 +139,8 @@ class ShardedEngine(IncrementalEngine):
             raise ShardError(
                 f"unknown shard policy {policy!r}; expected one of {POLICIES}"
             )
-        # the merge-without-cancellation argument (module docstring)
-        # requires guarded negative differentials; never disable it here
         super().__init__(
-            db,
-            program,
-            shared_nodes=shared_nodes,
-            negatives=negatives,
-            guard_negatives=True,
-            batch=batch,
-            wcoj=wcoj,
-            higher_order=higher_order,
+            db, program, shared_nodes=shared_nodes, negatives=negatives, wcoj=wcoj
         )
         self.shards = int(shards)
         self.policy = policy

@@ -127,6 +127,11 @@ class KillWorkerAt:
             return
         pid = pids[self.victim % len(pids)]
         os.kill(pid, signal.SIGKILL)
+        # SIGKILL delivery is asynchronous: block until the victim is
+        # really dead, but leave it reapable (WNOWAIT) — otherwise
+        # whether the leader's waitpid(WNOHANG) liveness probe sees the
+        # corpse is a race
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         self.killed = pid
 
     def sequence(self) -> List[str]:

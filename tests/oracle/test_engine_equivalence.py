@@ -1,20 +1,26 @@
-"""A/B oracle: the batch check phase must be indistinguishable from legacy.
+"""Engine oracles: incremental ≡ naive, and WCOJ ≡ pairwise chain.
 
-The set-at-a-time engine (compiled differential plans, two shared
-evaluators per run, batched semi-join negative guards) and the legacy
-tuple-at-a-time engine are two executors of the SAME calculus, so on
-identical transaction workloads they must produce
+The incremental engine (partial differencing over the propagation
+network) and the naive engine (full recomputation diffed against a
+materialized previous result — the paper's baseline) answer the same
+question each check phase, so on identical transaction workloads they
+must produce
 
-* identical condition delta-sets per check-phase iteration,
-* identical propagation traces — same differential labels in the same
-  order, same produced rows, same guard decisions (``guarded_away``),
+* identical *net* condition delta-sets per commit — the incremental
+  engine may report a confirming update as a plus row the condition
+  already held (strict semantics filters those when distributing), so
+  both sides are netted against the pre-commit extension; minus sets
+  must agree as reported, which pins the §7.2 negative guard from both
+  directions (an unguarded over-propagated deletion and a wrongly
+  guarded genuine one both differ from the recompute),
 * identical rule firings, commit by commit and in order.
 
 The generated schema covers every operator partial differencing
 handles — σ selection, π projection (derived function), ⋈ join,
 − negation, ∪ disjunction — plus an aggregate condition (per-group
-incremental recompute), because the aggregate path shares the run
-evaluators in batch mode and must not observe stale memos.
+incremental recompute, which shares the run evaluators with the
+differential edges and must not observe stale memos) and two multi-way
+joins (``r_tri``/``r_quad``) that take the fused join-kernel path.
 
 Run size: ``ORACLE_EXAMPLES`` (default 25 so tier-1 stays fast; CI's
 oracle job runs 500+, see docs/TESTING.md).
@@ -24,7 +30,7 @@ import os
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.amosql.interpreter import AmosqlEngine
 from repro.bench.workload import build_inventory
@@ -89,16 +95,17 @@ LOGGED_RULES = ("r_sigma", "r_pi", "r_join", "r_neg", "r_union", "r_agg",
 RULE_ARITY = {"r_join": 2, "r_tri": 3, "r_quad": 3}
 
 
-def build(batch, **engine_options):
-    """A fresh monitored incremental database + nodes + firing log.
+CONDITIONS = tuple(f"cnd_{rule}" for rule in LOGGED_RULES)
+
+
+def build(mode="incremental", **engine_options):
+    """A fresh monitored database + nodes + firing log.
 
     ``engine_options`` flow through to the rule manager — the WCOJ
-    oracle passes ``wcoj``/``higher_order`` to build the A and B
-    engines of the same calculus.
+    oracle passes ``wcoj`` to build the A and B engines of the same
+    calculus.
     """
-    engine = AmosqlEngine(
-        mode="incremental", explain=True, batch=batch, **engine_options
-    )
+    engine = AmosqlEngine(mode=mode, explain=True, **engine_options)
     fired = []
     for rule in LOGGED_RULES:
         arity = RULE_ARITY.get(rule, 1)
@@ -113,6 +120,18 @@ def build(batch, **engine_options):
     nodes = [engine.get(f"n{i}") for i in range(N_NODES)]
     engine.execute(RULES)
     return engine, nodes, fired
+
+
+def run_transaction(engines, ops, commits):
+    """Apply the same transaction to every ``(engine, nodes)`` pair."""
+    for engine, nodes in engines:
+        amos = engine.amos
+        amos.begin()
+        apply_ops(amos, nodes, ops)
+        if commits:
+            amos.commit()
+        else:
+            amos.rollback()
 
 
 def apply_ops(amos, nodes, ops):
@@ -192,6 +211,39 @@ def report_digest(report, normalize=None):
     ]
 
 
+def reported_deltas(report):
+    """One check phase's condition delta-sets as reported, delta-unioned
+    over its iterations: ``{condition: (plus, minus)}``."""
+    out = {}
+    for iteration in report.iterations if report is not None else ():
+        for condition, delta in iteration.condition_deltas.items():
+            plus, minus = out.get(condition, (frozenset(), frozenset()))
+            out[condition] = (
+                (plus - delta.minus) | delta.plus,
+                (minus - delta.plus) | delta.minus,
+            )
+    return out
+
+
+def minus_sets(reported):
+    """The non-empty reported deletions: ``{condition: minus}``."""
+    return {cnd: minus for cnd, (_, minus) in reported.items() if minus}
+
+
+def net_deltas(reported, extensions):
+    """Fold ``reported`` into the running ``extensions`` and return the
+    commit's net change per condition: ``{condition: (entered, left)}``,
+    unchanged conditions omitted."""
+    net = {}
+    for condition, (plus, minus) in reported.items():
+        before = extensions[condition]
+        after = (before - minus) | plus
+        extensions[condition] = after
+        if after != before:
+            net[condition] = (after - before, before - after)
+    return net
+
+
 node_ids = st.integers(0, N_NODES - 1)
 values = st.integers(0, 8)
 operation = st.one_of(
@@ -216,112 +268,60 @@ transactions = st.lists(
 class TestEngineEquivalence:
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(workload=transactions)
-    def test_batch_engine_matches_legacy(self, workload):
-        bat_engine, bat_nodes, bat_fired = build(batch=True)
-        leg_engine, leg_nodes, leg_fired = build(batch=False)
+    # n0 enters r_union through both disjuncts, then loses one: the
+    # negative differential's candidate must be guarded away
+    @example(
+        workload=[
+            ([("val", 0, 1), ("tag", 0, 7)], True),
+            ([("val", 0, 3)], True),
+        ]
+    )
+    def test_incremental_matches_naive(self, workload):
+        inc_engine, inc_nodes, inc_fired = build("incremental")
+        nai_engine, nai_nodes, nai_fired = build("naive")
         # identical creation order => identical OIDs (compared by id)
-        assert bat_nodes == leg_nodes
+        assert inc_nodes == nai_nodes
+        inc_ext = {cnd: frozenset() for cnd in CONDITIONS}
+        nai_ext = {cnd: frozenset() for cnd in CONDITIONS}
 
         for ops, commits in workload:
-            for amos, nodes in (
-                (bat_engine.amos, bat_nodes),
-                (leg_engine.amos, leg_nodes),
-            ):
-                amos.begin()
-                apply_ops(amos, nodes, ops)
-                if commits:
-                    amos.commit()
-                else:
-                    amos.rollback()
-            if not commits:
-                continue
-
-            bat_report = report_digest(bat_engine.amos.rules.last_report)
-            leg_report = report_digest(leg_engine.amos.rules.last_report)
-            assert bat_report == leg_report
-            # the full firing history must agree in content AND order
-            assert bat_fired == leg_fired
-
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(workload=transactions)
-    def test_guard_decisions_match(self, workload):
-        """Every negative differential's guard verdict — which deletion
-        candidates were dropped because they are still derivable — must
-        be identical between the batched semi-join and per-row holds()."""
-        bat_engine, bat_nodes, _ = build(batch=True)
-        leg_engine, leg_nodes, _ = build(batch=False)
-
-        def guard_log(engine):
-            out = []
-            normalize = _normalizer()
-            report = engine.amos.rules.last_report
-            if report is None:
-                return out
-            for iteration in report.iterations:
-                if iteration.trace is None:
-                    continue
-                for e in iteration.trace.executions:
-                    if e.output_sign == "-":
-                        out.append(
-                            (
-                                normalize(e.label),
-                                frozenset(e.guarded_away),
-                                frozenset(e.produced),
-                            )
-                        )
-            return out
-
-        saw_guard_drop = False
-        for ops, commits in workload:
-            for amos, nodes in (
-                (bat_engine.amos, bat_nodes),
-                (leg_engine.amos, leg_nodes),
-            ):
-                amos.begin()
-                apply_ops(amos, nodes, ops)
-                if commits:
-                    amos.commit()
-                else:
-                    amos.rollback()
-            if not commits:
-                continue
-            bat_log = guard_log(bat_engine)
-            leg_log = guard_log(leg_engine)
-            assert bat_log == leg_log
-            saw_guard_drop = saw_guard_drop or any(
-                dropped for _, dropped, _ in bat_log
+            run_transaction(
+                [(inc_engine, inc_nodes), (nai_engine, nai_nodes)], ops, commits
             )
+            if commits:
+                inc_reported = reported_deltas(inc_engine.amos.rules.last_report)
+                nai_reported = reported_deltas(nai_engine.amos.rules.last_report)
+                assert minus_sets(inc_reported) == minus_sets(nai_reported)
+                assert net_deltas(inc_reported, inc_ext) == net_deltas(
+                    nai_reported, nai_ext
+                )
+                for cnd in CONDITIONS:
+                    assert inc_ext[cnd] == inc_engine.amos.extension(cnd), cnd
+            # the full firing history must agree in content AND order
+            # (a rolled-back transaction fires nothing on either side)
+            assert inc_fired == nai_fired
 
 
 class TestWcojEquivalence:
-    """A/B oracle for the join kernels: the WCOJ + higher-order path
-    and the pure pairwise chain are two executors of the same partial
-    differencing calculus — identical condition deltas, guard
-    decisions, and rule firings on every workload, multi-way joins
-    included (``r_tri``/``r_quad`` fuse; the rest stay pairwise)."""
+    """A/B oracle for the join kernels: the WCOJ path and the pure
+    pairwise chain are two executors of the same partial differencing
+    calculus — identical condition deltas, propagation traces (same
+    differential labels in the same order, same produced rows, same
+    guard decisions) and rule firings on every workload, multi-way
+    joins included (``r_tri``/``r_quad`` fuse; the rest stay
+    pairwise)."""
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(workload=transactions)
     def test_wcoj_matches_pairwise_chain(self, workload):
-        opt_engine, opt_nodes, opt_fired = build(
-            batch=True, wcoj=True, higher_order=True
-        )
-        ref_engine, ref_nodes, ref_fired = build(
-            batch=True, wcoj=False, higher_order=False
-        )
+        opt_engine, opt_nodes, opt_fired = build(wcoj=True)
+        ref_engine, ref_nodes, ref_fired = build(wcoj=False)
         assert opt_nodes == ref_nodes
 
         for ops, commits in workload:
-            for amos, nodes in (
-                (opt_engine.amos, opt_nodes),
-                (ref_engine.amos, ref_nodes),
-            ):
-                amos.begin()
-                apply_ops(amos, nodes, ops)
-                if commits:
-                    amos.commit()
-                else:
-                    amos.rollback()
+            run_transaction(
+                [(opt_engine, opt_nodes), (ref_engine, ref_nodes)], ops, commits
+            )
             if not commits:
                 continue
 
@@ -332,43 +332,43 @@ class TestWcojEquivalence:
 
     def test_multiway_rules_actually_fuse(self):
         """The oracle is vacuous if no plan takes the kernel path —
-        pin that the triangle/quad differentials fused and carry a
-        higher-order memo."""
-        engine, _, _ = build(batch=True, wcoj=True, higher_order=True)
+        pin that the triangle/quad differentials fused."""
+        engine, _, _ = build(wcoj=True)
         network = engine.amos.rules.engine.network
-        fused_plans = 0
-        memos = 0
-        for edge in network.edges():
-            for d in edge.differentials():
-                if d.plan is not None and d.plan.fused:
-                    fused_plans += 1
-                if d.ho is not None:
-                    memos += 1
-                    if d.state == "new":
-                        assert d.influent not in d.ho.support
-        assert fused_plans > 0
-        assert memos > 0
+        assert any(
+            d.plan is not None and d.plan.fused
+            for edge in network.edges()
+            for d in edge.differentials()
+        )
 
 
 class TestInventoryEquivalence:
-    """Deterministic A/B over the paper's Fig. 6 inventory schema:
-    threshold churn fires the rule and exercises the negative guard."""
+    """Deterministic incremental-vs-naive run over the paper's Fig. 6
+    inventory schema: threshold churn fires the rule and exercises the
+    negative guard."""
 
-    def run_churn(self, batch):
-        workload = build_inventory(12, mode="incremental", batch=batch, explain=True)
+    def run_churn(self, mode):
+        workload = build_inventory(12, mode=mode, explain=True)
         workload.activate()
-        reports = []
+        extensions = {"cnd_monitor_items": frozenset()}
+        nets = []
+
+        def record():
+            reported = reported_deltas(workload.amos.rules.last_report)
+            nets.append(net_deltas(reported, extensions))
+
         for step in range(40):
             workload.touch_one_item(step, below=(step % 2 == 0))
-            reports.append(report_digest(workload.amos.rules.last_report))
+            record()
         workload.massive_change(quantity_delta=-30)
-        reports.append(report_digest(workload.amos.rules.last_report))
+        record()
         orders = [(item.id, amount) for item, amount in workload.orders]
-        return orders, reports
+        return orders, nets
 
-    def test_orders_and_reports_identical(self):
-        bat_orders, bat_reports = self.run_churn(batch=True)
-        leg_orders, leg_reports = self.run_churn(batch=False)
-        assert bat_orders == leg_orders
-        assert bat_orders, "churn workload must fire the rule"
-        assert bat_reports == leg_reports
+    def test_orders_and_deltas_identical(self):
+        inc_orders, inc_nets = self.run_churn("incremental")
+        nai_orders, nai_nets = self.run_churn("naive")
+        assert inc_orders == nai_orders
+        assert inc_orders, "churn workload must fire the rule"
+        assert inc_nets == nai_nets
+        assert any(net for net in inc_nets)

@@ -49,6 +49,27 @@ def apply(db, name, delta):
         relation.delete(row)
 
 
+def make_guard_setup(guard_negatives=True):
+    """p derivable through q AND q2 (the section-7.2 guard scenario)."""
+    db = Database()
+    db.create_relation("q", 2).bulk_insert([(1, 1)])
+    db.create_relation("q2", 2).bulk_insert([(1, 1)])
+    db.create_relation("r", 2).bulk_insert([(1, 10)])
+    program = Program()
+    for name in ("q", "q2", "r"):
+        program.declare_base(name, 2)
+    program.declare_derived("p", 2)
+    program.add_clause(clause(
+        PredLiteral("p", (X, Z)), PredLiteral("q", (X, Y)), PredLiteral("r", (Y, Z))
+    ))
+    program.add_clause(clause(
+        PredLiteral("p", (X, Z)), PredLiteral("q2", (X, Y)), PredLiteral("r", (Y, Z))
+    ))
+    network = PropagationNetwork(program)
+    network.add_condition("p")
+    return db, Propagator(program, db, network, guard_negatives=guard_negatives)
+
+
 class TestFlatPropagation:
     def test_insert_propagates(self):
         db, _, _, propagator = make_setup()
@@ -118,23 +139,7 @@ class TestGuardedNegatives:
         assert guarded and guarded[0].guarded_away == {(1, 10)}
 
     def test_unguarded_mode_overreacts(self):
-        db = Database()
-        db.create_relation("q", 2).bulk_insert([(1, 1)])
-        db.create_relation("q2", 2).bulk_insert([(1, 1)])
-        db.create_relation("r", 2).bulk_insert([(1, 10)])
-        program = Program()
-        for name in ("q", "q2", "r"):
-            program.declare_base(name, 2)
-        program.declare_derived("p", 2)
-        program.add_clause(clause(
-            PredLiteral("p", (X, Z)), PredLiteral("q", (X, Y)), PredLiteral("r", (Y, Z))
-        ))
-        program.add_clause(clause(
-            PredLiteral("p", (X, Z)), PredLiteral("q2", (X, Y)), PredLiteral("r", (Y, Z))
-        ))
-        network = PropagationNetwork(program)
-        network.add_condition("p")
-        propagator = Propagator(program, db, network, guard_negatives=False)
+        db, propagator = make_guard_setup(guard_negatives=False)
         delta = DeltaSet(set(), {(1, 1)})
         apply(db, "q", delta)
         results = propagator.run({"q": delta})
@@ -210,64 +215,60 @@ class TestTraceContents:
         )
 
 
-def make_guard_setup(batch=True):
-    """p derivable through q AND q2 (the section-7.2 guard scenario)."""
-    db = Database()
-    db.create_relation("q", 2).bulk_insert([(1, 1)])
-    db.create_relation("q2", 2).bulk_insert([(1, 1)])
-    db.create_relation("r", 2).bulk_insert([(1, 10)])
-    program = Program()
-    for name in ("q", "q2", "r"):
-        program.declare_base(name, 2)
-    program.declare_derived("p", 2)
-    program.add_clause(clause(
-        PredLiteral("p", (X, Z)), PredLiteral("q", (X, Y)), PredLiteral("r", (Y, Z))
-    ))
-    program.add_clause(clause(
-        PredLiteral("p", (X, Z)), PredLiteral("q2", (X, Y)), PredLiteral("r", (Y, Z))
-    ))
-    network = PropagationNetwork(program)
-    network.add_condition("p")
-    return db, Propagator(program, db, network, batch=batch)
+class TestSetAtATimeExecution:
+    """Compiled plans, the two shared run evaluators, batched guards."""
 
-
-class TestBatchEngine:
-    """The set-at-a-time execution path (compiled plans, shared
-    evaluators, batched guards) against its legacy reference."""
-
-    def test_batch_and_legacy_agree_on_inserts_and_deletes(self):
+    def test_unplanned_differentials_fall_back_to_the_evaluator(self):
+        """Differentials without a compiled plan (no static order —
+        here: an unoptimized network) run through ``solve_clause`` on
+        the same two run evaluators, with identical results."""
         for delta in (
             DeltaSet({(3, 1)}, set()),
             DeltaSet(set(), {(1, 1)}),
             DeltaSet({(3, 2)}, {(2, 2)}),
         ):
             results = {}
-            for batch in (True, False):
-                db, program, network, _ = make_setup()
-                propagator = Propagator(program, db, network, batch=batch)
+            for optimize in (True, False):
+                db, program, _, _ = make_setup()
+                network = PropagationNetwork(program, optimize=optimize)
+                network.add_condition("p")
+                assert all(
+                    (d.plan is not None) == optimize
+                    for edge in network.edges()
+                    for d in edge.differentials()
+                )
                 apply(db, "q", delta)
-                results[batch] = propagator.run({"q": delta})
+                results[optimize] = Propagator(program, db, network).run(
+                    {"q": delta}
+                )
             assert results[True] == results[False]
+            assert results[True]
 
-    def test_batched_guard_agrees_with_per_row_guard(self):
-        outcomes = {}
-        for batch in (True, False):
-            db, propagator = make_guard_setup(batch=batch)
+    def test_uncompilable_guard_falls_back_to_per_row_holds(self):
+        """A target whose guard cannot be compiled (recorded as None in
+        the plan cache) is guarded by one ``holds()`` per candidate row,
+        with the same verdict as the batched semi-join."""
+        outcomes = []
+        for compiled in (True, False):
+            db, propagator = make_guard_setup()
+            if not compiled:
+                propagator._guard_plans["p"] = None
             delta = DeltaSet(set(), {(1, 1)})
             apply(db, "q", delta)
-            outcomes[batch] = (
+            outcomes.append((
                 propagator.run({"q": delta}, trace=True),
                 [
                     (e.label, e.produced, e.guarded_away)
                     for e in propagator.last_trace.executions
                 ],
-            )
-        assert outcomes[True] == outcomes[False]
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1][0][2] == {(1, 10)}
 
     def test_batched_guard_counter(self):
         from repro.obs import metrics
 
-        db, propagator = make_guard_setup(batch=True)
+        db, propagator = make_guard_setup()
         delta = DeltaSet(set(), {(1, 1)})
         apply(db, "q", delta)
         with metrics.collecting() as registry:

@@ -58,7 +58,7 @@ class TestWiring:
         assert engine.shards == 3
         assert engine.partitioner.shards == 3
         # the merge argument requires guarded negatives — always on
-        assert engine.guard_negatives is True
+        assert engine._propagator.guard_negatives is True
 
     def test_shards_one_is_the_plain_serial_engine(self):
         workload = build_inventory(4, shards=1)
