@@ -13,7 +13,7 @@ The package layers, bottom-up:
 * :mod:`repro.amosql`   — the AMOSQL language front end
 * :mod:`repro.rules`    — the paper's contribution: partial differentials,
   the breadth-first bottom-up propagation algorithm, rule management with
-  strict/nervous semantics, plus the naive baseline and a hybrid engine
+  strict/nervous semantics, plus the naive baseline
 * :mod:`repro.bench`    — workload generators and measurement harness for
   the paper's performance figures
 * :mod:`repro.obs`      — zero-dependency metrics + tracing: delta-size,

@@ -86,11 +86,10 @@ class NewStateView(StateView):
     state = "new"
     probers_stable = True
 
-    __slots__ = ("_db", "auto_index")
+    __slots__ = ("_db",)
 
-    def __init__(self, db: "Database", auto_index: bool = True) -> None:
+    def __init__(self, db: "Database") -> None:
         self._db = db
-        self.auto_index = auto_index
 
     def rows(self, name: str) -> FrozenSet[Row]:
         return self._db.relation(name).rows()
@@ -100,12 +99,12 @@ class NewStateView(StateView):
 
     def lookup(self, name: str, columns: Sequence[int], key: Sequence) -> FrozenSet[Row]:
         relation = self._db.relation(name)
-        if self.auto_index and relation.index_on(columns) is None and len(relation) > 8:
+        if relation.index_on(columns) is None and len(relation) > 8:
             relation.create_index(columns, auto=True)
         return relation.lookup(columns, key)
 
     def prober(self, name: str, columns: Sequence[int]):
-        return self._db.relation(name).prober(columns, auto=self.auto_index)
+        return self._db.relation(name).prober(columns, auto=True)
 
     def prober_source(self, name: str):
         return self._db.relation(name)

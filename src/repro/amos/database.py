@@ -59,8 +59,8 @@ class AmosDatabase:
     ----------
     mode:
         Rule condition monitoring strategy: ``"incremental"``
-        (partial differencing, the paper's algorithm), ``"naive"``
-        (full recomputation baseline) or ``"hybrid"``.
+        (partial differencing, the paper's algorithm) or ``"naive"``
+        (full recomputation baseline).
     shared_nodes:
         Derived function names kept as shared intermediate nodes in the
         propagation network (section 7.1).
@@ -72,15 +72,11 @@ class AmosDatabase:
         :meth:`last_check_trace` (see :mod:`repro.obs` and
         ``docs/OBSERVABILITY.md``).
     shards:
-        (via ``manager_options``) fan the check phase out to a
-        persistent pool of forked propagation workers with replica
-        sync and a merge barrier (:mod:`repro.shard`,
-        ``docs/SHARDING.md``).  The default ``"auto"`` sizes the fleet
-        from the host's cores (1 — the serial engine bit-for-bit — on
-        single-core hosts or non-incremental modes) and routes each
-        transaction serial or fanned-out adaptively; an explicit
-        integer pins the worker count (> 1 requires
-        ``mode="incremental"``).
+        (via ``manager_options``) 1, the default, is the serial
+        engine; an integer N > 1 opts in to fanning the check phase
+        out to a persistent pool of N forked propagation workers with
+        replica sync and a merge barrier (:mod:`repro.shard`,
+        ``docs/SHARDING.md``; requires ``mode="incremental"``).
     """
 
     def __init__(
@@ -113,7 +109,7 @@ class AmosDatabase:
 
     @property
     def shards(self) -> int:
-        """Resolved worker count of the sharded check phase (1 = serial)."""
+        """Worker count of the sharded check phase (1 = serial)."""
         return self.rules.shards
 
     def close(self) -> None:

@@ -199,13 +199,6 @@ class Repl:
                 break
 
 
-def _parse_shards(text: str):
-    """``--shards`` accepts a positive integer or the literal 'auto'."""
-    if text == "auto":
-        return "auto"
-    return int(text)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro``."""
     import argparse
@@ -216,7 +209,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--mode",
-        choices=["incremental", "naive", "hybrid"],
+        choices=["incremental", "naive"],
         default="incremental",
         help="rule condition monitoring strategy",
     )
@@ -249,15 +242,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--shards",
-        type=_parse_shards,
-        default="auto",
-        metavar="N|auto",
-        help="server only: fan each commit's check phase out to a "
-        "persistent pool of N forked propagation workers with replica "
-        "sync and a merge barrier (see docs/SHARDING.md); 'auto' (the "
-        "default) sizes the pool from the host's cores and routes "
-        "each transaction serial or fanned-out adaptively; 1 = always "
-        "serial",
+        type=int,
+        default=1,
+        metavar="N",
+        help="server only: N > 1 opts in to fanning each commit's check "
+        "phase out to a persistent pool of N forked propagation workers "
+        "with replica sync and a merge barrier (see docs/SHARDING.md); "
+        "1 (the default) = serial",
     )
     parser.add_argument(
         "--replicate-from",

@@ -251,13 +251,7 @@ def build_inventory(
     with ``delivery_time=2`` — so every threshold is 140 (as for the
     paper's ``:item1``) and triggering is fully controllable.  Initial
     quantities sit well above the threshold.
-
-    ``shards`` defaults to 1 here (NOT the engine's ``"auto"``): the
-    benchmarks and tests built on this workload must measure the same
-    engine on every host, regardless of core count — sharded cells opt
-    in explicitly.
     """
-    amos_options.setdefault("shards", 1)
     amos = AmosDatabase(mode=mode, explain=explain, **amos_options)
     workload_orders: List[Tuple[OID, int]] = []
     amos.create_type("item")

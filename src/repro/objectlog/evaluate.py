@@ -78,9 +78,6 @@ class Evaluator:
         Delta-sets for delta-marked literals, keyed by predicate name.
         The propagation algorithm supplies the changed node's delta
         here; plain queries never need it.
-    memoize:
-        Cache derived-predicate extensions within this evaluator's
-        lifetime.  Safe because an evaluator sees one immutable state.
     compile_derived:
         Answer derived-predicate probes through compiled
         :class:`~repro.objectlog.batch.ClausePlan` chains instead of
@@ -96,13 +93,11 @@ class Evaluator:
         program: Program,
         view: StateView,
         deltas: Optional[Mapping[str, DeltaSet]] = None,
-        memoize: bool = True,
         compile_derived: bool = False,
     ) -> None:
         self.program = program
         self.view = view
         self.deltas = dict(deltas or {})
-        self.memoize = memoize
         self.compile_derived = compile_derived
         self._memo: Dict[Tuple, FrozenSet[Row]] = {}
         self._stack: Set[str] = set()
@@ -619,8 +614,8 @@ class Evaluator:
                 f"recursive evaluation of {definition.name!r} "
                 "(recursion is outside the paper's scope)"
             )
-        memo_key = (definition.name, bound) if self.memoize else None
-        if memo_key is not None and memo_key in self._memo:
+        memo_key = (definition.name, bound)
+        if memo_key in self._memo:
             reg = metrics.ACTIVE
             if reg is not None:
                 reg.counter("evaluate.memo_hits").inc()
@@ -667,8 +662,7 @@ class Evaluator:
                 result = frozenset(out)
         finally:
             self._stack.discard(definition.name)
-        if memo_key is not None:
-            self._memo[memo_key] = result
+        self._memo[memo_key] = result
         return result
 
     def _derived_plans_for(

@@ -4,12 +4,7 @@ from repro.rules.differentials import (
     PartialDifferentialClause,
     generate_differentials,
 )
-from repro.rules.engines import (
-    HybridEngine,
-    IncrementalEngine,
-    MonitoringEngine,
-    NaiveEngine,
-)
+from repro.rules.engines import IncrementalEngine, MonitoringEngine, NaiveEngine
 from repro.rules.explain import CheckPhaseIteration, CheckPhaseReport, FiredRule
 from repro.rules.manager import RuleManager
 from repro.rules.network import NetworkEdge, NetworkNode, PropagationNetwork
@@ -29,7 +24,6 @@ from repro.rules.rule import (
 __all__ = [
     "PartialDifferentialClause",
     "generate_differentials",
-    "HybridEngine",
     "IncrementalEngine",
     "MonitoringEngine",
     "NaiveEngine",

@@ -1,6 +1,6 @@
-"""Condition monitoring engines: incremental, naive, and hybrid.
+"""Condition monitoring engines: incremental and naive.
 
-All three engines answer the same question each check phase — *how did
+Both engines answer the same question each check phase — *how did
 every monitored condition change?* — but differently:
 
 * :class:`IncrementalEngine` — the paper's contribution: propagate the
@@ -9,17 +9,12 @@ every monitored condition change?* — but differently:
 * :class:`NaiveEngine` — the paper's baseline (section 6): whenever an
   update touched an influent of a condition, recompute the whole
   condition and diff it against the previous, materialized result.
-* :class:`HybridEngine` — the future-work idea of section 8: per
-  condition, estimate whether the transaction changed so much that
-  naive recomputation is cheaper, and mix both strategies.  It
-  recomputes the old state by logical rollback instead of materializing
-  previous results, so it stays as rollback-safe as the incremental
-  engine.
+  It is the reference the equivalence oracles compare against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.algebra.delta import DeltaSet, merge_delta_maps
 from repro.algebra.oldstate import NewStateView, OldStateView
@@ -31,11 +26,11 @@ from repro.storage.database import Database
 
 Row = Tuple
 
-__all__ = ["MonitoringEngine", "IncrementalEngine", "NaiveEngine", "HybridEngine"]
+__all__ = ["MonitoringEngine", "IncrementalEngine", "NaiveEngine"]
 
 
 class MonitoringEngine:
-    """Common interface of the three engines."""
+    """Common interface of the engines."""
 
     #: set by the manager: condition name -> base influents
     def rebuild(self, conditions: Mapping[str, FrozenSet[str]]) -> None:
@@ -177,85 +172,3 @@ class NaiveEngine(MonitoringEngine):
         evaluator = Evaluator(self.program, view)
         for condition in self._influents:
             self._previous[condition] = evaluator.extension(condition)
-
-
-class HybridEngine(MonitoringEngine):
-    """Mix of incremental propagation and rollback-based recomputation.
-
-    For each affected condition the engine compares the total size of
-    the incoming delta-sets against ``switch_ratio`` times the summed
-    cardinality of the condition's base influents; above the threshold
-    it recomputes the condition in both states (new directly, old by
-    logical rollback) instead of propagating.
-    """
-
-    def __init__(
-        self,
-        db: Database,
-        program: Program,
-        switch_ratio: float = 0.2,
-        shared_nodes: FrozenSet[str] = frozenset(),
-        wcoj: bool = True,
-    ) -> None:
-        self.db = db
-        self.program = program
-        self.switch_ratio = switch_ratio
-        self._incremental = IncrementalEngine(
-            db, program, shared_nodes=shared_nodes, wcoj=wcoj
-        )
-        self._influents: Dict[str, FrozenSet[str]] = {}
-        #: how each condition was handled last time (for tests/reporting)
-        self.last_decisions: Dict[str, str] = {}
-
-    def rebuild(self, conditions: Mapping[str, FrozenSet[str]]) -> None:
-        self._influents = dict(conditions)
-        self._incremental.rebuild(conditions)
-
-    def process(
-        self, base_deltas: Mapping[str, DeltaSet], trace: bool = False
-    ) -> Dict[str, DeltaSet]:
-        base_deltas = self._merge_origins(base_deltas)
-        changed = frozenset(base_deltas)
-        self.last_decisions = {}
-        naive_conditions: List[str] = []
-        incremental_needed = False
-        for condition, influents in self._influents.items():
-            touched = influents & changed
-            if not touched:
-                continue
-            delta_size = sum(
-                len(base_deltas[name].plus) + len(base_deltas[name].minus)
-                for name in touched
-            )
-            full_size = sum(
-                len(self.db.relation(name)) for name in influents
-            )
-            if delta_size > self.switch_ratio * max(full_size, 1):
-                naive_conditions.append(condition)
-                self.last_decisions[condition] = "naive"
-            else:
-                incremental_needed = True
-                self.last_decisions[condition] = "incremental"
-
-        results: Dict[str, DeltaSet] = {}
-        if incremental_needed:
-            propagated = self._incremental.process(base_deltas, trace=trace)
-            for condition, decision in self.last_decisions.items():
-                if decision == "incremental" and condition in propagated:
-                    results[condition] = propagated[condition]
-        if naive_conditions:
-            new_eval = Evaluator(self.program, NewStateView(self.db))
-            old_eval = Evaluator(
-                self.program, OldStateView(self.db, base_deltas)
-            )
-            for condition in naive_conditions:
-                current = new_eval.extension(condition)
-                previous = old_eval.extension(condition)
-                delta = DeltaSet(current - previous, previous - current)
-                if not delta.empty:
-                    results[condition] = delta
-        return results
-
-    @property
-    def last_trace(self) -> Optional[PropagationTrace]:
-        return self._incremental.last_trace

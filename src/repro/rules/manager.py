@@ -19,8 +19,7 @@ The manager owns the whole CA-rule life cycle (paper section 3):
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.algebra.delta import DeltaSet
 from repro.algebra.oldstate import OldStateView
@@ -28,40 +27,20 @@ from repro.errors import RuleActivationError, RuleError, UnknownRuleError
 from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.program import Program
 from repro.obs import metrics, tracing
-from repro.rules.engines import (
-    HybridEngine,
-    IncrementalEngine,
-    MonitoringEngine,
-    NaiveEngine,
-)
+from repro.rules.engines import IncrementalEngine, MonitoringEngine, NaiveEngine
 from repro.rules.explain import CheckPhaseIteration, CheckPhaseReport, FiredRule
 from repro.rules.rule import STRICT, Activation, Rule, default_conflict_resolver
 from repro.storage.database import Database
 
 Row = Tuple
 
-__all__ = ["RuleManager", "resolve_auto_shards"]
-
-#: ``shards="auto"`` never forks more workers than this, however many
-#: cores the host has (past ~8 the merge barrier and pickle exchange
-#: dominate; pin an explicit count to go wider)
-AUTO_MAX_SHARDS = 8
+__all__ = ["RuleManager"]
 
 
 def resolve_auto_shards(mode: str) -> int:
-    """Worker count for ``shards="auto"`` on this host.
-
-    Fan-out needs partial differencing (the partitions ARE the
-    differentials' Δ operands), ``os.fork``, and at least two cores to
-    propagate on; anything else resolves to 1 — the plain serial
-    engine, bit-for-bit.  The adaptive serial-vs-fanout policy
-    (docs/SHARDING.md) then decides per transaction whether the
-    resolved fleet is worth waking at all.
-    """
-    if mode != "incremental" or not hasattr(os, "fork"):
-        return 1
-    cpus = os.cpu_count() or 1
-    return max(1, min(cpus, AUTO_MAX_SHARDS))
+    # kept only because benchmarks/e2e/run.py imports it (that directory
+    # is frozen here); the next benchmark-only PR drops it
+    return 1
 
 
 class RuleManager:
@@ -70,11 +49,11 @@ class RuleManager:
     Parameters
     ----------
     mode:
-        ``"incremental"`` (partial differencing), ``"naive"`` (the
-        paper's baseline), or ``"hybrid"`` (section-8 extension).
+        ``"incremental"`` (partial differencing, the default) or
+        ``"naive"`` (the paper's baseline, the oracles' reference).
     shared_nodes:
         Derived predicates kept as shared intermediate network nodes
-        (section 7.1); incremental/hybrid modes only.
+        (section 7.1); incremental mode only.
     explain:
         Record a :class:`CheckPhaseReport` for every check phase.
     processing:
@@ -92,19 +71,15 @@ class RuleManager:
         ``last_check_trace``.  Tees into any globally installed
         registry, so benchmarks can aggregate across commits.
     shards:
-        Fan the check phase out to a persistent pool of N forked
-        propagation workers (:mod:`repro.shard`, docs/SHARDING.md);
-        requires ``mode="incremental"``.  ``"auto"`` (the default)
-        sizes the fleet from the host's core count (1 on single-core
-        hosts, non-incremental modes, and platforms without
-        ``os.fork`` — i.e. bit-for-bit the serial engine there), and
-        the engine's adaptive policy routes each transaction serial or
-        fanned-out from its Δ size and partition spread.  An explicit
-        integer pins the worker count; 1 is always the plain serial
-        engine.  ``shard_options`` passes extra keyword arguments
-        (``policy``, ``auto_min_rows``, ``key_columns``,
-        ``wave_timeout``, ``sync_backlog_limit``) through to
-        :class:`~repro.shard.engine.ShardedEngine`.
+        1 (the default) is the plain serial engine.  An integer N > 1
+        opts in to a persistent pool of N forked propagation workers
+        (:mod:`repro.shard`, docs/SHARDING.md); it requires
+        ``mode="incremental"``, and the sharded engine's adaptive
+        policy routes each transaction serial or fanned-out from its
+        Δ size and partition spread.  ``shard_options`` passes extra
+        keyword arguments (``policy``, ``auto_min_rows``,
+        ``key_columns``, ``wave_timeout``, ``sync_backlog_limit``)
+        through to :class:`~repro.shard.engine.ShardedEngine`.
     """
 
     def __init__(
@@ -117,23 +92,21 @@ class RuleManager:
         max_iterations: int = 1000,
         conflict_resolver: Callable = default_conflict_resolver,
         negatives: bool = True,
-        hybrid_switch_ratio: float = 0.2,
         processing: str = "deferred",
         observe: bool = False,
         wcoj: bool = True,
-        shards: Union[int, str] = "auto",
+        shards: int = 1,
         shard_options: Optional[Dict] = None,
     ) -> None:
         if processing not in ("deferred", "immediate"):
             raise RuleError(f"unknown processing mode {processing!r}")
         if shards == "auto":
-            shards = resolve_auto_shards(mode)
-        elif isinstance(shards, str):
-            raise RuleError(
-                f"shards must be a positive integer or 'auto', got {shards!r}"
-            )
-        elif shards < 1:
-            raise RuleError(f"need at least one shard, got {shards}")
+            # alias of the default, accepted only because
+            # benchmarks/e2e/harness.py passes it (frozen here); the
+            # next benchmark-only PR drops it
+            shards = 1
+        elif type(shards) is not int or shards < 1:
+            raise RuleError(f"shards must be a positive integer, got {shards!r}")
         elif shards > 1 and mode != "incremental":
             raise RuleError(
                 f"sharded check phase requires mode='incremental' "
@@ -144,7 +117,7 @@ class RuleManager:
         self.mode = mode
         self.processing = processing
         #: WCOJ kernel selection for multi-way join differentials
-        #: (incremental/hybrid/sharded engines; repro.objectlog.join)
+        #: (incremental/sharded engines; repro.objectlog.join)
         self.wcoj = wcoj
         self.explain = explain
         #: collect per-commit metrics/spans (see repro.obs); read the
@@ -188,14 +161,6 @@ class RuleManager:
             )
         elif mode == "naive":
             self.engine = NaiveEngine(db, program)
-        elif mode == "hybrid":
-            self.engine = HybridEngine(
-                db,
-                program,
-                switch_ratio=hybrid_switch_ratio,
-                shared_nodes=shared_nodes,
-                wcoj=wcoj,
-            )
         else:
             raise RuleError(f"unknown monitoring mode {mode!r}")
         db.add_check_hook(self._check_phase)

@@ -754,7 +754,7 @@ def serve(
     idle_timeout: Optional[float] = None,
     group_commit: bool = False,
     wal_dir: Optional[str] = None,
-    shards="auto",
+    shards: int = 1,
     out=None,
 ) -> int:
     """Run a server until interrupted (the ``--serve`` entry point).

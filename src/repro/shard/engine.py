@@ -23,7 +23,10 @@ only a bare :class:`~repro.rules.propagation.Propagator` can switch it
 off) and is pinned end to end by the sharded-≡-serial oracle
 (``tests/oracle/test_shard_equivalence.py``).
 
-Two things changed from the original fork-per-check-phase design:
+**Opt-in.**  ``RuleManager`` builds this engine only for an explicit
+integer ``shards=N > 1``; the default check phase is the plain
+:class:`~repro.rules.engines.IncrementalEngine` (docs/SHARDING.md has
+the measurements behind that).
 
 **Persistent pool + replica sync.**  The worker pool forks once (at
 the first fanned-out phase) and survives across commits.  The engine
@@ -42,11 +45,9 @@ create/drop, or sync-backlog overflow.
 
 **Adaptive serial-vs-fanout policy.**  ``policy="auto"`` (the default)
 decides per transaction, at the phase's first wave, whether fanning
-out can pay: the wave must carry at least ``auto_min_rows`` Δ rows
-(the hybrid engine's switch_ratio pattern, applied to the fan-out
-cost) AND spread over ≥ 2 partitions.  Small/churn transactions — the
-paper's Fig. 6 regime — take the serial path with zero pool traffic,
-which is what makes ``shards="auto"`` safe as a default.  Pin with
+out can pay: the wave must carry at least ``auto_min_rows`` Δ rows AND
+spread over ≥ 2 partitions.  Small/churn transactions — the paper's
+Fig. 6 regime — take the serial path with zero pool traffic.  Pin with
 ``policy="fanout"`` (always fan out, the oracle/fault-test mode) or
 ``policy="serial"`` (never fan out).
 

@@ -29,7 +29,7 @@ class TestNewStateView:
     def test_auto_index_creation(self, db):
         relation = db.relation("r")
         relation.bulk_insert([(i, i) for i in range(4, 20)])
-        view = NewStateView(db, auto_index=True)
+        view = NewStateView(db)
         assert relation.index_on((1,)) is None
         view.lookup("r", (1,), (5,))
         assert relation.index_on((1,)) is not None

@@ -88,8 +88,3 @@ class TestPropertyEquivalence:
     @given(ops=operations, sizes=cuts)
     def test_incremental_equals_naive(self, ops, sizes):
         assert drive("incremental", ops, sizes) == drive("naive", ops, sizes)
-
-    @settings(max_examples=30, deadline=None)
-    @given(ops=operations, sizes=cuts)
-    def test_hybrid_equals_naive(self, ops, sizes):
-        assert drive("hybrid", ops, sizes) == drive("naive", ops, sizes)

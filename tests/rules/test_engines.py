@@ -7,7 +7,7 @@ from repro.objectlog.clause import HornClause
 from repro.objectlog.literals import Comparison, PredLiteral
 from repro.objectlog.program import Program
 from repro.objectlog.terms import Variable
-from repro.rules.engines import HybridEngine, IncrementalEngine, NaiveEngine
+from repro.rules.engines import IncrementalEngine, NaiveEngine
 from repro.storage.database import Database
 
 X, Y = Variable("X"), Variable("Y")
@@ -98,42 +98,9 @@ class TestNaiveEngine:
         assert engine.process(deltas) == {"low": DeltaSet({("a",)}, set())}
 
 
-class TestHybridEngine:
-    def test_small_delta_goes_incremental(self):
-        db, program, conditions = make_setup()
-        db.relation("value").bulk_insert([(f"k{i}", 100 + i) for i in range(50)])
-        engine = HybridEngine(db, program, switch_ratio=0.2)
-        engine.rebuild(conditions)
-        deltas = apply_and_delta(db, plus=[("a", 5)])
-        result = engine.process(deltas)
-        assert engine.last_decisions == {"low": "incremental"}
-        assert result == {"low": DeltaSet({("a",)}, set())}
-
-    def test_massive_delta_goes_naive(self):
-        db, program, conditions = make_setup()
-        db.relation("value").bulk_insert([(f"k{i}", 100 + i) for i in range(10)])
-        engine = HybridEngine(db, program, switch_ratio=0.2)
-        engine.rebuild(conditions)
-        plus = [(f"n{i}", 5) for i in range(10)]
-        deltas = apply_and_delta(db, plus=plus)
-        result = engine.process(deltas)
-        assert engine.last_decisions == {"low": "naive"}
-        assert result["low"].plus == {(f"n{i}",) for i in range(10)}
-
-    def test_hybrid_agrees_with_incremental_either_way(self):
-        for ratio in (0.0, 100.0):  # force naive / force incremental
-            db, program, conditions = make_setup()
-            db.relation("value").bulk_insert([("x", 3), ("y", 50)])
-            engine = HybridEngine(db, program, switch_ratio=ratio)
-            engine.rebuild(conditions)
-            deltas = apply_and_delta(db, plus=[("z", 4)], minus=[("x", 3)])
-            result = engine.process(deltas)
-            assert result == {"low": DeltaSet({("z",)}, {("x",)})}, ratio
-
-
 class TestEngineAgreement:
     @pytest.mark.parametrize("step", range(5))
-    def test_all_three_engines_agree(self, step):
+    def test_incremental_and_naive_agree(self, step):
         """Randomized-ish update batches give identical condition deltas."""
         import random
 
@@ -142,17 +109,12 @@ class TestEngineAgreement:
         plus = [(f"p{step}{i}", rng.randrange(0, 20)) for i in range(3)]
         minus = [base[rng.randrange(0, len(base))]]
 
-        def fresh(engine_cls, **kw):
+        def fresh(engine_cls):
             db, program, conditions = make_setup()
             db.relation("value").bulk_insert(base)
-            engine = engine_cls(db, program, **kw)
+            engine = engine_cls(db, program)
             engine.rebuild(conditions)
             deltas = apply_and_delta(db, plus=plus, minus=minus)
             return engine.process(deltas)
 
-        results = [
-            fresh(IncrementalEngine),
-            fresh(NaiveEngine),
-            fresh(HybridEngine, switch_ratio=0.2),
-        ]
-        assert results[0] == results[1] == results[2]
+        assert fresh(IncrementalEngine) == fresh(NaiveEngine)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.amos.database import AmosDatabase
 from repro.errors import RuleActivationError, RuleError, UnknownRuleError
 from repro.objectlog.clause import HornClause
 from repro.objectlog.literals import Comparison, PredLiteral
@@ -252,7 +253,7 @@ class TestConflictResolution:
 
 
 class TestRollbackSafety:
-    @pytest.mark.parametrize("mode", ["incremental", "naive", "hybrid"])
+    @pytest.mark.parametrize("mode", ["incremental", "naive"])
     def test_failing_action_rolls_back_and_recovers(self, mode):
         db, _, manager = make_db(mode=mode)
         fired = []
@@ -285,6 +286,23 @@ class TestRollbackSafety:
         assert fired == []
         set_value(db, "b", 50)  # harmless update; must not fire anything
         assert fired == []
+
+
+class TestEngineSelection:
+    @pytest.mark.parametrize("shards", [1.5, 2.0, True, False, 0, -1, "2", None])
+    def test_shards_must_be_a_positive_int(self, shards):
+        with pytest.raises(RuleError, match="positive integer"):
+            make_db(shards=shards)
+
+    def test_removed_hybrid_options_raise(self):
+        with pytest.raises(RuleError, match="unknown monitoring mode"):
+            make_db(mode="hybrid")
+        with pytest.raises(TypeError):
+            make_db(hybrid_switch_ratio=0.2)
+        with pytest.raises(RuleError):
+            AmosDatabase(mode="hybrid")
+        with pytest.raises(TypeError):
+            AmosDatabase(hybrid_switch_ratio=0.2)
 
 
 class TestActivationObject:

@@ -3,8 +3,8 @@
 Covers the wiring the oracle ring does not: the persistent pool's
 lifecycle (fork at the first fanned-out wave, survival across commits,
 replica sync on reuse, explicit teardown), the adaptive
-serial-vs-fanout policy and ``shards="auto"`` resolution, the shards=1
-serial identity, mode validation, group commit syncing once and
+serial-vs-fanout policy, the pool being opt-in (the default and
+shards=1 are the plain serial engine), mode validation, group commit syncing once and
 partitioning the merged batch once, the WAL writing ONE commit record
 regardless of shard count, a single snapshot epoch per commit, and the
 fleet-wide observability counters.
@@ -16,17 +16,20 @@ the routing itself.
 """
 
 import gc
+import os
 import pickle
 
 import pytest
 
 from repro.algebra.delta import DeltaSet
+from repro.amos.database import AmosDatabase
 from repro.amos.oid import OID
 from repro.amosql.interpreter import AmosqlEngine
 from repro.bench.workload import build_inventory
 from repro.errors import RuleError, ShardError
 from repro.rules.engines import IncrementalEngine
 from repro.rules.manager import resolve_auto_shards
+from repro.server import AmosServer
 from repro.shard.engine import ShardedEngine
 
 
@@ -73,8 +76,6 @@ class TestWiring:
     def test_sharding_requires_incremental_mode(self):
         with pytest.raises(RuleError):
             AmosqlEngine(mode="naive", shards=2)
-        with pytest.raises(RuleError):
-            AmosqlEngine(mode="hybrid", shards=2)
 
     def test_amosql_engine_accepts_shards(self):
         engine = AmosqlEngine(shards=2)
@@ -390,29 +391,46 @@ class TestAutoPolicy:
         assert engine.pool_pids == []
         assert engine.pool_stats["forks"] == 0
 
-    def test_auto_shards_resolution(self):
-        # "auto" resolves from the host: 1 on non-fork platforms or
-        # non-incremental modes, min(cpus, 8) otherwise
-        import os
-        resolved = resolve_auto_shards("incremental")
-        if hasattr(os, "fork"):
-            assert 1 <= resolved <= 8
-            assert resolved == min(os.cpu_count() or 1, 8)
-        else:
-            assert resolved == 1
-        assert resolve_auto_shards("naive") == 1
-        assert resolve_auto_shards("hybrid") == 1
 
-    def test_shards_auto_is_the_default(self):
-        engine = AmosqlEngine(mode="incremental")
-        assert engine.amos.shards == resolve_auto_shards("incremental")
-        # naive mode under the default silently resolves to 1 — no error
-        naive = AmosqlEngine(mode="naive")
-        assert naive.amos.shards == 1
+class TestPoolIsOptIn:
+    """The default check phase is the plain IncrementalEngine; only an
+    explicit integer shards=N > 1 builds the pool."""
 
-    def test_explicit_auto_string_accepted(self):
-        engine = AmosqlEngine(mode="incremental", shards="auto")
-        assert engine.amos.shards == resolve_auto_shards("incremental")
+    @pytest.mark.parametrize(
+        "make_amos",
+        [
+            AmosDatabase,
+            lambda: AmosqlEngine().amos,
+            lambda: AmosServer().amos,
+            lambda: AmosqlEngine(shards="auto").amos,
+        ],
+        ids=["AmosDatabase", "AmosqlEngine", "AmosServer", "auto-alias"],
+    )
+    def test_default_engine_is_exactly_the_incremental_engine(self, make_amos):
+        amos = make_amos()
+        assert type(amos.rules.engine) is IncrementalEngine
+        assert amos.shards == 1
+
+    @pytest.mark.parametrize("mode", ["incremental", "naive"])
+    def test_auto_shards_resolution(self, mode):
+        assert resolve_auto_shards(mode) == 1
+
+    def test_default_massive_transaction_forks_nothing(self, monkeypatch):
+        workload = build_inventory(5000)
+        workload.activate()
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError("the default check phase must not fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        workload.massive_change(-1)  # 15k Δ rows, far above auto_min_rows
+        assert forks == []
+
+    def test_explicit_shards_still_build_the_pool_engine(self):
+        engine = AmosqlEngine(shards=2)
+        assert type(engine.amos.rules.engine) is ShardedEngine
 
 
 class TestReplicaSync:

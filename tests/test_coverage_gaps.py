@@ -57,22 +57,6 @@ class TestClauseHelpers:
             HornClause(PredLiteral("p", (X,), delta="+"), [])
 
 
-class TestEvaluatorWithoutMemo:
-    def test_memo_disabled_sees_fresh_data(self):
-        db = Database()
-        db.create_relation("q", 2).bulk_insert([(1, 1)])
-        program = Program()
-        program.declare_base("q", 2)
-        program.declare_derived("p", 1)
-        program.add_clause(
-            HornClause(PredLiteral("p", (X,)), [PredLiteral("q", (X, X))])
-        )
-        evaluator = Evaluator(program, NewStateView(db), memoize=False)
-        assert evaluator.extension("p") == {(1,)}
-        db.relation("q").insert((2, 2))
-        assert evaluator.extension("p") == {(1,), (2,)}
-
-
 class TestOldStateLookupBranches:
     def test_plus_only_delta_lookup(self):
         """The branch where nothing was deleted under this key but an
