@@ -7,7 +7,6 @@ from repro.algebra.delta import (
     apply_delta,
     delta_union,
     delta_union_all,
-    merge_delta_maps,
     rollback_delta,
 )
 from repro.algebra.differencing import (
@@ -30,7 +29,7 @@ from repro.algebra.expression import (
     Select,
     Union,
 )
-from repro.algebra.oldstate import NewStateView, OldStateView, StateView, view_for
+from repro.algebra.oldstate import NewStateView, OldStateView, StateView
 
 __all__ = [
     "EMPTY_DELTA",
@@ -39,7 +38,6 @@ __all__ = [
     "apply_delta",
     "delta_union",
     "delta_union_all",
-    "merge_delta_maps",
     "rollback_delta",
     "PartialDifferential",
     "differentiate",
@@ -60,5 +58,4 @@ __all__ = [
     "NewStateView",
     "OldStateView",
     "StateView",
-    "view_for",
 ]

@@ -27,7 +27,7 @@ Two classes are provided:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.errors import DeltaError
 
@@ -152,33 +152,6 @@ def delta_union_all(deltas: Iterable[DeltaSet]) -> DeltaSet:
     for delta in deltas:
         merged.merge(delta)
     return merged.freeze()
-
-
-def merge_delta_maps(
-    maps: Iterable[Mapping[str, DeltaSet]],
-) -> Dict[str, DeltaSet]:
-    """Merge per-relation delta maps from several origins, in order.
-
-    Each map is one origin's ``{relation: DeltaSet}`` (e.g. one member
-    transaction of a commit group); per relation the deltas combine via
-    :func:`delta_union_all`, so matching insert/delete pairs across
-    origins cancel.  Relations whose merged change nets to nothing are
-    dropped from the result — exactly the shape
-    :meth:`~repro.storage.database.Database.take_deltas` produces for a
-    single merged transaction.
-    """
-    accumulators: Dict[str, MutableDelta] = {}
-    for delta_map in maps:
-        for name, delta in delta_map.items():
-            accumulator = accumulators.get(name)
-            if accumulator is None:
-                accumulator = accumulators[name] = MutableDelta()
-            accumulator.merge(delta)
-    return {
-        name: accumulator.freeze()
-        for name, accumulator in accumulators.items()
-        if accumulator
-    }
 
 
 def apply_delta(rows: Iterable[Row], delta: DeltaSet) -> Rows:

@@ -36,15 +36,6 @@ class StateView:
     #: Which state this view exposes: ``"new"`` or ``"old"``.
     state: str = "new"
 
-    #: True when probers resolved through this view stay valid across
-    #: transactions (the view reads live, incrementally maintained
-    #: structures).  Evaluators may then keep resolved probers over a
-    #: :meth:`~repro.objectlog.evaluate.Evaluator.reset`, revalidating
-    #: against :meth:`prober_source`'s ``index_epoch``.  False for
-    #: snapshot-bound views (old state, replicas): their probers close
-    #: over per-transaction reconstructions.
-    probers_stable: bool = False
-
     def rows(self, name: str) -> FrozenSet[Row]:
         raise NotImplementedError
 
@@ -61,21 +52,6 @@ class StateView:
         cols = tuple(columns)
         return lambda key: self.lookup(name, cols, key)
 
-    def prober_source(self, name: str):
-        """The live relation backing ``name``'s probers, or None when
-        probers are snapshot-bound (see :attr:`probers_stable`)."""
-        return None
-
-    def stable_prober_source(self, name: str):
-        """The live relation backing ``name``'s probers *right now*,
-        or None.  Unlike :meth:`prober_source` this may answer on a
-        snapshot-bound view for relations the snapshot does not touch
-        (an old-state view serves unchanged relations straight from
-        the live database), so callers caching the returned probe must
-        re-check ``stable_prober_source(name) is source`` on every
-        reuse — the answer changes per transaction."""
-        return self.prober_source(name)
-
     def cardinality(self, name: str) -> int:
         return len(self.rows(name))
 
@@ -84,7 +60,6 @@ class NewStateView(StateView):
     """The current (post-update) content of the database."""
 
     state = "new"
-    probers_stable = True
 
     __slots__ = ("_db",)
 
@@ -98,16 +73,12 @@ class NewStateView(StateView):
         return tuple(row) in self._db.relation(name)
 
     def lookup(self, name: str, columns: Sequence[int], key: Sequence) -> FrozenSet[Row]:
-        relation = self._db.relation(name)
-        if relation.index_on(columns) is None and len(relation) > 8:
-            relation.create_index(columns, auto=True)
-        return relation.lookup(columns, key)
+        # copied: the unmetered prober hands out the live index bucket,
+        # and interpretive callers iterate lookups lazily
+        return frozenset(self.prober(name, columns)(tuple(key)))
 
     def prober(self, name: str, columns: Sequence[int]):
         return self._db.relation(name).prober(columns, auto=True)
-
-    def prober_source(self, name: str):
-        return self._db.relation(name)
 
     def trie(self, name: str, order: Sequence[int]):
         """The relation's trie index over ``order`` (WCOJ kernels).
@@ -204,28 +175,8 @@ class OldStateView(StateView):
         cols = tuple(columns)
         return lambda key: self.lookup(name, cols, key)
 
-    def stable_prober_source(self, name: str):
-        """The live relation, but only while ``name`` is untouched by
-        this view's rollback delta — the monitoring steady state, where
-        most relations are unchanged and their old-state probers are
-        exactly the live ones (see :meth:`prober`).  Callers must
-        re-check per reuse: the delta map changes every transaction."""
-        delta = self._deltas.get(name)
-        if delta is None or delta.empty:
-            return self._new.prober_source(name)
-        return None
-
     def cardinality(self, name: str) -> int:
         delta = self._deltas.get(name)
         if delta is None or delta.empty:
             return self._new.cardinality(name)
         return len(self.rows(name))
-
-
-def view_for(db: "Database", state: str, deltas: Mapping[str, DeltaSet]) -> StateView:
-    """Build the view for ``state`` (``"new"`` or ``"old"``)."""
-    if state == "new":
-        return NewStateView(db)
-    if state == "old":
-        return OldStateView(db, deltas)
-    raise ValueError(f"unknown state {state!r}; expected 'new' or 'old'")

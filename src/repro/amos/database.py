@@ -159,6 +159,7 @@ class AmosDatabase:
                 doomed = [row for row in relation.rows() if oid in row]
                 for row in doomed:
                     self.storage.delete(function.name, row)
+            self.rules.maybe_immediate_check()
 
     def objects_of(self, type_name: str) -> FrozenSet[OID]:
         return frozenset(row[0] for row in self.storage.relation(type_name).rows())

@@ -277,49 +277,11 @@ def _base_step(literal: PredLiteral, slot_of, bound: Set[int]) -> Step:
     bound.update(new_slots)
     if cols:
         key_of = _make_key(parts)
-        # per-step probe cell: (evaluator, probe, source_relation,
-        # index_epoch, dynamic).  A step executes under one evaluator
-        # for the lifetime of its plan (new- or old-state), so with
-        # metrics off and an index-backed live relation the resolved
-        # bucket probe is reused with two identity checks and an epoch
-        # compare — the general path (evaluator.prober: LRU + counters
-        # + metered probes + snapshot views) costs ~5x that per call.
-        # ``dynamic`` marks an old-state cell, valid only while the
-        # rollback delta leaves the relation untouched (re-checked via
-        # stable_prober_source per execution).
-        cell = None
 
         def step(evaluator, batch):
-            nonlocal cell
-            c = cell
-            if (
-                c is not None
-                and c[0] is evaluator
-                and metrics.ACTIVE is None
-                and c[2].index_epoch == c[3]
-                and (
-                    not c[4]
-                    or evaluator.view.stable_prober_source(pred) is c[2]
-                )
-            ):
-                probe = c[1]
-            else:
-                probe = evaluator.prober(pred, cols)
-                cell = None
-                if metrics.ACTIVE is None:
-                    view = evaluator.view
-                    source = view.stable_prober_source(pred)
-                    if (
-                        source is not None
-                        and source.index_on(cols) is not None
-                    ):
-                        cell = (
-                            evaluator,
-                            probe,
-                            source,
-                            source.index_epoch,
-                            not view.probers_stable,
-                        )
+            # resolved per execution: the relation caches its probers
+            # and drops them when it evicts the index behind them
+            probe = evaluator.view.prober(pred, cols)
             out: List[Regs] = []
             append = out.append
             for regs in batch:
@@ -636,8 +598,8 @@ def compile_plan(
     """Compile ``clause`` (body pre-ordered) into a :class:`ClausePlan`.
 
     ``bound_vars`` are guaranteed bound before execution starts; their
-    registers come first so callers can seed them (the batched negative
-    guard seeds the head variables from each candidate row).
+    registers come first so callers can seed them (the evaluator's
+    ``derivable`` seeds the head variables from each candidate row).
 
     With ``wcoj=True`` the compiler cost-selects between the pairwise
     probe chain and a fused worst-case-optimal kernel

@@ -19,9 +19,7 @@ a mapping of delta-sets for delta-marked literals.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -55,14 +53,6 @@ from repro.obs import metrics
 
 Row = Tuple
 _EMPTY_DELTA = DeltaSet()
-
-#: how many resolved ``(pred, columns) -> prober`` closures one
-#: evaluator retains (LRU).  A propagator keeps its evaluators alive
-#: across transactions, and every compiled plan step resolves its own
-#: probe column set — unbounded, a long-lived engine over a wide rule
-#: network would pin one closure (and its index) per step forever.
-#: Mirrors ``AUTO_INDEX_BUDGET`` in :mod:`repro.storage.relation`.
-PROBER_CACHE_BUDGET = 64
 
 
 class Evaluator:
@@ -112,35 +102,18 @@ class Evaluator:
         self._derived_plans: Dict[Tuple, Tuple[List, int, Optional[List]]] = {}
         #: per-delta key indexes: (pred, sign, columns) -> {key: [rows]}
         self._delta_indexes: Dict[Tuple, Dict[Tuple, List[Row]]] = {}
-        #: resolved ``key -> rows`` probe callables per (pred, columns),
-        #: valid for this evaluator's lifetime because its view reads
-        #: one immutable state (see :meth:`StateView.prober`); bounded
-        #: LRU — resolve through :meth:`prober`, not directly
-        self.prober_cache: "OrderedDict[Tuple, Callable]" = OrderedDict()
 
     def reset(self) -> None:
         """Forget all state tied to one database snapshot: memoized
-        derived extensions, delta indexes, and resolved probers.  Lets a
-        propagator keep one evaluator per state across runs instead of
-        allocating fresh ones every transaction."""
+        derived extensions and delta indexes (compiled plans survive;
+        probes are resolved through the view per step execution).  Lets
+        a propagator keep one evaluator per state across runs instead
+        of allocating fresh ones every transaction."""
         self.deltas = {}
         if self._memo:
             self._memo.clear()
         if self._delta_indexes:
             self._delta_indexes.clear()
-        if self.prober_cache and not self.view.probers_stable:
-            # snapshot-bound probers (old state, replicas) die with the
-            # snapshot — except entries that read a live relation (an
-            # old view serves untouched relations straight from the
-            # database): those carry a source and revalidate against
-            # stable_prober_source on every hit (see prober())
-            cache = self.prober_cache
-            stale = [key for key, entry in cache.items() if entry[2] is None]
-            if len(stale) == len(cache):
-                cache.clear()
-            else:
-                for key in stale:
-                    del cache[key]
 
     def set_deltas(self, deltas: Optional[Mapping[str, DeltaSet]]) -> None:
         """Swap the delta-sets this evaluator reads for delta literals.
@@ -167,69 +140,6 @@ class Evaluator:
         self.deltas = {pred: delta}
         if self._delta_indexes:
             self._delta_indexes.clear()
-
-    def prober(self, pred: str, cols: Tuple[int, ...]) -> Callable:
-        """The view's ``key -> rows`` probe for ``pred`` over ``cols``,
-        memoized under the :data:`PROBER_CACHE_BUDGET` LRU.
-
-        On a live view (``view.probers_stable``) entries outlive
-        :meth:`reset` — re-resolving every check phase cost ~10% of the
-        steady-state batch check.  A hit revalidates against the source
-        relation's ``index_epoch`` (index/trie create + evict), whether
-        an index has appeared for a previously scan-resolved probe, and
-        whether metrics were on or off at resolution time (metered
-        probes route through ``HashIndex.probe`` so accounting stays
-        exact; unmetered ones read buckets directly).
-
-        Snapshot-bound views keep only their *dynamically stable*
-        entries: an old-state prober for a relation the rollback delta
-        does not touch reads the live relation, so it survives too and
-        re-checks ``stable_prober_source`` — whether the relation is
-        STILL untouched — on every hit.
-        """
-        cache = self.prober_cache
-        cache_key = (pred, cols)
-        entry = cache.get(cache_key)
-        reg = metrics.ACTIVE
-        if entry is not None:
-            probe, metered, source, epoch, unindexed, dynamic = entry
-            if metered == (reg is not None) and (
-                source is None
-                or (
-                    source.index_epoch == epoch
-                    and not (unindexed and len(source) > 8)
-                    and (
-                        not dynamic
-                        or self.view.stable_prober_source(pred) is source
-                    )
-                )
-            ):
-                cache.move_to_end(cache_key)
-                if reg is not None:
-                    reg.counter("evaluate.prober_cache.hits").inc()
-                return probe
-        if reg is not None:
-            reg.counter("evaluate.prober_cache.misses").inc()
-        view = self.view
-        probe = view.prober(pred, cols)
-        source = view.stable_prober_source(pred)
-        if source is not None:
-            entry = (
-                probe,
-                reg is not None,
-                source,
-                source.index_epoch,
-                source.index_on(cols) is None,
-                not view.probers_stable,
-            )
-        else:
-            entry = (probe, reg is not None, None, 0, False, False)
-        cache[cache_key] = entry
-        if len(cache) > PROBER_CACHE_BUDGET:
-            cache.popitem(last=False)
-            if reg is not None:
-                reg.counter("evaluate.prober_cache.evictions").inc()
-        return probe
 
     def delta_rows(self, pred: str, sign: str) -> FrozenSet[Row]:
         """One side of a predicate's delta-set (empty when absent)."""
@@ -309,6 +219,41 @@ class Evaluator:
         for _ in self.query(pred, tuple(row)):
             return True
         return False
+
+    def derivable(self, pred: str, rows: Iterable[Row]) -> FrozenSet[Row]:
+        """The rows of ``rows`` in the extension of ``pred`` — the
+        membership test of :meth:`holds`, set-at-a-time.
+
+        One batched semi-join per defining clause: every candidate
+        still pending seeds one register list with all head variables
+        bound from it, so the row a solved list emits IS its candidate.
+        The negative guard (section 7.2) asks this of the new state,
+        strict semantics of the old one.  Anything but a compilable
+        derived predicate on a ``compile_derived`` evaluator is
+        answered by one :meth:`holds` per row.
+        """
+        definition = self.program.predicate(pred)
+        plans = None
+        if self.compile_derived and isinstance(definition, DerivedPredicate):
+            plans = self._derived_plans_for(
+                definition, tuple(range(definition.arity))
+            )
+        if plans is None:
+            return frozenset(row for row in rows if self.holds(pred, row))
+        found: Set[Row] = set()
+        pending = set(rows)
+        for plan in plans:
+            if not pending:
+                break
+            seeds = []
+            for row in pending:
+                regs = self._derived_seed(plan, enumerate(row))
+                if regs is not None:
+                    seeds.append(regs)
+            if seeds:
+                found.update(map(plan.emit_row, plan.execute(self, seeds)))
+                pending -= found
+        return frozenset(found)
 
     # -- scheduling -----------------------------------------------------------------
 
@@ -623,7 +568,9 @@ class Evaluator:
         self._stack.add(definition.name)
         try:
             plans = (
-                self._derived_plans_for(definition, bound)
+                self._derived_plans_for(
+                    definition, tuple(position for position, _ in bound)
+                )
                 if self.compile_derived
                 else None
             )
@@ -668,14 +615,13 @@ class Evaluator:
     def _derived_plans_for(
         self,
         definition: DerivedPredicate,
-        bound: Tuple[Tuple[int, object], ...],
+        cols: Tuple[int, ...],
     ) -> Optional[List]:
-        """Compiled plans for ``definition`` probed with ``bound``
-        positions pinned, compiled once per (predicate, bound shape)
-        and reused for the evaluator's lifetime.  ``None`` means the
-        definition cannot be statically ordered/compiled under this
+        """Compiled plans for ``definition`` probed with the head
+        positions ``cols`` pinned, compiled once per (predicate, bound
+        shape) and reused for the evaluator's lifetime.  ``None`` means
+        the definition cannot be statically ordered/compiled under this
         binding pattern (falls back to the interpretive path)."""
-        cols = tuple(position for position, _ in bound)
         key = (definition.name, cols)
         entry = self._derived_plans.get(key)
         if (

@@ -14,9 +14,9 @@ every monitored condition change?* — but differently:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
-from repro.algebra.delta import DeltaSet, merge_delta_maps
+from repro.algebra.delta import DeltaSet
 from repro.algebra.oldstate import NewStateView, OldStateView
 from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.program import Program
@@ -40,22 +40,23 @@ class MonitoringEngine:
     def process(
         self, base_deltas: Mapping[str, DeltaSet], trace: bool = False
     ) -> Dict[str, DeltaSet]:
-        """Condition deltas caused by ``base_deltas``.
-
-        ``base_deltas`` may also be a *sequence* of per-relation delta
-        maps (multi-origin seeding — the member transactions of a
-        commit group in arrival order); every engine merges them with
-        the n-ary delta-union before processing, so the result equals
-        processing one merged transaction.
-        """
+        """Condition deltas caused by ``base_deltas``."""
         raise NotImplementedError
 
-    @staticmethod
-    def _merge_origins(base_deltas) -> Mapping[str, DeltaSet]:
-        """Normalize single-map or multi-origin input to one map."""
-        if isinstance(base_deltas, Mapping):
-            return base_deltas
-        return merge_delta_maps(base_deltas)
+    def held_before(
+        self,
+        condition: str,
+        rows: Iterable[Row],
+        base_deltas: Mapping[str, DeltaSet],
+    ) -> FrozenSet[Row]:
+        """The rows of ``rows`` that ``condition`` already held in the
+        state before ``base_deltas`` — strict semantics drops them.
+
+        The reference answer: one interpretive membership test per row
+        against a fresh logical rollback.
+        """
+        old_eval = Evaluator(self.program, OldStateView(self.db, base_deltas))
+        return frozenset(row for row in rows if old_eval.holds(condition, row))
 
     def resync(self, pending_deltas: Optional[Mapping[str, DeltaSet]] = None) -> None:
         """Drop any engine state that may be stale after a rollback.
@@ -123,6 +124,14 @@ class IncrementalEngine(MonitoringEngine):
     ) -> Dict[str, DeltaSet]:
         return self._propagator.run(base_deltas, trace=trace)
 
+    def held_before(
+        self,
+        condition: str,
+        rows: Iterable[Row],
+        base_deltas: Mapping[str, DeltaSet],
+    ) -> FrozenSet[Row]:
+        return self._propagator.held_before(condition, rows, base_deltas)
+
     @property
     def last_trace(self) -> Optional[PropagationTrace]:
         return self._propagator.last_trace
@@ -147,7 +156,6 @@ class NaiveEngine(MonitoringEngine):
     def process(
         self, base_deltas: Mapping[str, DeltaSet], trace: bool = False
     ) -> Dict[str, DeltaSet]:
-        base_deltas = self._merge_origins(base_deltas)
         changed = frozenset(base_deltas)
         results: Dict[str, DeltaSet] = {}
         evaluator = Evaluator(self.program, NewStateView(self.db))

@@ -22,9 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.algebra.delta import DeltaSet
-from repro.algebra.oldstate import OldStateView
 from repro.errors import RuleActivationError, RuleError, UnknownRuleError
-from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.program import Program
 from repro.obs import metrics, tracing
 from repro.rules.engines import IncrementalEngine, MonitoringEngine, NaiveEngine
@@ -388,7 +386,6 @@ class RuleManager:
         """Fan condition deltas out to activations, applying semantics."""
         if not condition_deltas:
             return
-        old_eval: Optional[Evaluator] = None
         for activation in self._activations.values():
             condition = activation.rule.condition
             delta = condition_deltas.get(condition)
@@ -403,16 +400,8 @@ class RuleManager:
             if delta.empty:
                 continue
             if activation.rule.semantics == STRICT and delta.plus:
-                if old_eval is None:
-                    old_eval = Evaluator(
-                        self.program, OldStateView(self.db, base_deltas)
-                    )
-                genuinely_new = frozenset(
-                    row
-                    for row in delta.plus
-                    if not old_eval.holds(condition, row)
-                )
-                delta = DeltaSet(genuinely_new, delta.minus)
+                held = self.engine.held_before(condition, delta.plus, base_deltas)
+                delta = DeltaSet(delta.plus - held, delta.minus)
             activation.pending.merge(delta)
 
     def _choose_triggered(self) -> Optional[Activation]:
@@ -509,12 +498,6 @@ class RuleManager:
             "wcoj_kernel_emits": counters.get("join.kernel_emits", 0),
             "trie_builds": counters.get("join.trie_builds", 0),
             "trie_evictions": counters.get("join.trie_evictions", 0),
-            "prober_cache_hits": counters.get(
-                "evaluate.prober_cache.hits", 0
-            ),
-            "prober_cache_misses": counters.get(
-                "evaluate.prober_cache.misses", 0
-            ),
             # persistent shard worker pool (docs/SHARDING.md): fork and
             # respawn activity, replica-sync traffic, and the adaptive
             # policy's serial-vs-fanout routing for this commit

@@ -27,26 +27,23 @@ Execution is set-at-a-time: each differential executes its compiled
 :class:`~repro.objectlog.batch.ClausePlan` against one of exactly two
 evaluators per run (new-state and old-state) whose derived-predicate
 memos amortize across the whole wave front, and negative candidates
-are guarded by ONE batched semi-join per differential instead of one
-top-down derivation per tuple.  A differential or guard target with no
-safe static order falls back to the tuple-at-a-time evaluator
-(``solve_clause`` / per-row ``holds()``) on the same two evaluators.
+are guarded by ONE derivability test per differential
+(:meth:`~repro.objectlog.evaluate.Evaluator.derivable` on the new-state
+evaluator) instead of one top-down derivation per tuple.  A
+differential with no safe static order falls back to the
+tuple-at-a-time evaluator (``solve_clause``) on the same two
+evaluators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from repro.algebra.delta import DeltaSet, merge_delta_maps
+from repro.algebra.delta import DeltaSet
 from repro.algebra.oldstate import NewStateView, OldStateView
-from repro.errors import UnsafeClauseError
-from repro.objectlog.batch import ClausePlan, compile_plan
-from repro.objectlog.clause import HornClause
 from repro.objectlog.evaluate import Evaluator
-from repro.objectlog.optimize import order_body
-from repro.objectlog.program import DerivedPredicate, Program
-from repro.objectlog.terms import Variable
+from repro.objectlog.program import Program
 from repro.obs import metrics, tracing
 from repro.rules.differentials import PartialDifferentialClause
 from repro.rules.network import NetworkNode, PropagationNetwork
@@ -119,12 +116,6 @@ class Propagator:
         #: nodes whose delta-set was merged into this run — the run
         #: loop and reset touch only these, not the whole network
         self._dirty: set = set()
-        #: per target predicate: compiled guard semi-join plans, or None
-        #: when the target cannot be guard-compiled (falls back to
-        #: per-row ``holds()``)
-        self._guard_plans: Dict[
-            str, Optional[List[Tuple[Tuple, ClausePlan]]]
-        ] = {}
         # ONE old-state view and ONE pair of evaluators for the
         # propagator's lifetime; run() resets them per transaction
         # instead of reallocating (the check phase is the serialized
@@ -132,6 +123,8 @@ class Propagator:
         # within a run their derived-predicate memos amortize across
         # every edge and the aggregate path
         self._old_view = OldStateView(db, {})
+        #: the very delta map ``_old_view`` currently rolls back
+        self._old_deltas: Optional[Mapping[str, DeltaSet]] = None
         # compile_derived: sub-derivations (e.g. the running example's
         # threshold function probed once per differential row) run as
         # compiled plans too; the plans amortize over the propagator's
@@ -141,21 +134,13 @@ class Propagator:
 
     def run(
         self,
-        base_deltas,
+        base_deltas: Mapping[str, DeltaSet],
         trace: bool = False,
         old_deltas: Optional[Mapping[str, DeltaSet]] = None,
     ) -> Dict[str, DeltaSet]:
-        """Propagate ``base_deltas`` upward; return the root delta-sets.
-
-        ``base_deltas`` is normally one ``{relation: DeltaSet}`` map —
-        the current transaction's net change.  It may instead be a
-        *sequence* of such maps (multi-origin seeding, e.g. the member
-        transactions of a commit group in arrival order): they are
-        merged per relation with the n-ary delta-union
-        (:func:`~repro.algebra.delta.merge_delta_maps`) before seeding,
-        so cross-origin churn cancels and ONE wave serves the whole
-        group.  Old-state reconstruction uses the same merged map, i.e.
-        the state before the *first* origin.
+        """Propagate ``base_deltas`` — one ``{relation: DeltaSet}`` map,
+        the current transaction's net change — upward; return the root
+        delta-sets.
 
         ``old_deltas`` overrides the delta map used for old-state
         reconstruction (logical rollback).  Shard workers seed the
@@ -165,14 +150,9 @@ class Propagator:
         existed.  None (the default) means old == seeded, today's
         single-process behaviour.
         """
-        if not isinstance(base_deltas, Mapping):
-            base_deltas = merge_delta_maps(base_deltas)
-        if old_deltas is None:
-            old_deltas = base_deltas
         tracer = PropagationTrace() if trace else None
-        self._old_view.reset(old_deltas)
+        self._roll_back(base_deltas if old_deltas is None else old_deltas)
         self._new_eval.reset()
-        self._old_eval.reset()
         reg = metrics.ACTIVE
         tr = tracing.ACTIVE
         run_span = tr.begin("propagate") if tr is not None else None
@@ -228,6 +208,26 @@ class Propagator:
 
         self.last_trace = tracer
         return results
+
+    # -- the old state ------------------------------------------------------------
+
+    def _roll_back(self, deltas: Mapping[str, DeltaSet]) -> None:
+        """Point the old-state view and evaluator at the state before
+        ``deltas``."""
+        self._old_deltas = deltas
+        self._old_view.reset(deltas)
+        self._old_eval.reset()
+
+    def held_before(
+        self, pred: str, rows: Iterable[Row], base_deltas: Mapping[str, DeltaSet]
+    ) -> FrozenSet[Row]:
+        """The rows of ``rows`` that ``pred`` held in the state before
+        ``base_deltas`` (strict semantics drops them).  Straight after
+        ``run(base_deltas)`` the old-state evaluator — memos, minus
+        indexes — is reused as the run left it."""
+        if base_deltas is not self._old_deltas:
+            self._roll_back(base_deltas)
+        return self._old_eval.derivable(pred, rows)
 
     # -- wave-front bookkeeping ---------------------------------------------------
 
@@ -293,9 +293,12 @@ class Propagator:
             )
         guarded_away: FrozenSet[Row] = frozenset()
         if produced and differential.output_sign == "-" and self.guard_negatives:
+            # section 7.2: a deletion candidate still derivable in the
+            # new state is dropped, all candidates in one test
             if reg is not None:
                 reg.counter("propagation.guard_checks").inc(len(produced))
-            guarded_away = self._guard_batch(differential.target, produced, reg)
+                reg.counter("propagation.guard_batched").inc()
+            guarded_away = self._new_eval.derivable(differential.target, produced)
             produced = produced - guarded_away
         cancelled = 0
         if produced:
@@ -336,106 +339,6 @@ class Propagator:
                     guarded_away=guarded_away,
                 )
             )
-
-    # -- the batched negative guard ----------------------------------------------
-
-    #: register carrying each candidate row through its guard plan
-    _GUARD_ROW = Variable("_GUARD_ROW")
-
-    def _guard_plans_for(
-        self, target: str
-    ) -> Optional[List[Tuple[Tuple, ClausePlan]]]:
-        """Compiled semi-join plans for re-deriving ``target`` rows.
-
-        One plan per defining clause, body ordered under the assumption
-        that every head variable is bound (by the candidate row).  None
-        when the target is not a plannable derived predicate — the
-        caller then falls back to per-row ``holds()``.
-        """
-        if target in self._guard_plans:
-            return self._guard_plans[target]
-        plans: Optional[List[Tuple[Tuple, ClausePlan]]] = []
-        definition = self.program.predicate(target)
-        if not isinstance(definition, DerivedPredicate):
-            plans = None
-        else:
-            try:
-                for clause in definition.clauses:
-                    renamed = clause.rename_apart()
-                    head_vars = [
-                        arg
-                        for arg in renamed.head.args
-                        if isinstance(arg, Variable)
-                    ]
-                    ordered = order_body(
-                        renamed.body, self.program, bound_vars=head_vars
-                    )
-                    plan = compile_plan(
-                        HornClause(renamed.head, ordered),
-                        self.program,
-                        bound_vars=[self._GUARD_ROW] + head_vars,
-                    )
-                    plans.append((renamed.head.args, plan))
-            except UnsafeClauseError:
-                plans = None
-        self._guard_plans[target] = plans
-        return plans
-
-    def _guard_batch(
-        self,
-        target: str,
-        produced: FrozenSet[Row],
-        reg=None,
-    ) -> FrozenSet[Row]:
-        """Deletion candidates still derivable in the new state.
-
-        One set-oriented semi-join per defining clause: every pending
-        candidate row seeds one register list (head variables bound
-        from the row, the row itself riding in a provenance register),
-        and a single batch execution re-derives all of them at once
-        against the shared memoizing new-state evaluator.
-        """
-        guard_eval = self._new_eval
-        plans = self._guard_plans_for(target)
-        if plans is None:
-            return frozenset(
-                row for row in produced if guard_eval.holds(target, row)
-            )
-        if reg is not None:
-            reg.counter("propagation.guard_batched").inc()
-        still: set = set()
-        pending = set(produced)
-        prov = self._GUARD_ROW
-        for head_args, plan in plans:
-            if not pending:
-                break
-            slot_of = plan.slot_of
-            prov_slot = slot_of[prov]
-            seeds: List[List] = []
-            for row in pending:
-                regs = [None] * plan.n_slots
-                regs[prov_slot] = row
-                compatible = True
-                for arg, value in zip(head_args, row):
-                    if isinstance(arg, Variable):
-                        slot = slot_of[arg]
-                        current = regs[slot]
-                        if current is None:
-                            regs[slot] = value
-                        elif current != value:
-                            compatible = False
-                            break
-                    elif arg != value:
-                        compatible = False
-                        break
-                if compatible:
-                    seeds.append(regs)
-            if not seeds:
-                continue
-            for regs in plan.execute(guard_eval, seeds):
-                still.add(regs[prov_slot])
-            pending -= still
-        return frozenset(still)
 
     # -- aggregate edges ----------------------------------------------------------
 

@@ -292,7 +292,7 @@ class ShardedEngine(IncrementalEngine):
     # -- the check phase ---------------------------------------------------
 
     def process(
-        self, base_deltas, trace: bool = False
+        self, base_deltas: Mapping[str, DeltaSet], trace: bool = False
     ) -> Dict[str, DeltaSet]:
         if self.shards == 1:
             # bit-for-bit the serial engine: no fork, no partitioning
@@ -302,19 +302,12 @@ class ShardedEngine(IncrementalEngine):
             # continuation wave of a serial-routed phase: bit-for-bit
             # (and microsecond-for-microsecond) the serial engine
             return self._propagator.run(base_deltas, trace=trace)
-        # fast-path the overwhelmingly common shape (a plain dict of
-        # delta-sets): the ABC isinstance check inside _merge_origins
-        # costs microseconds, which churn transactions can feel
-        if type(base_deltas) is dict:
-            merged = base_deltas
-        else:
-            merged = self._merge_origins(base_deltas)
-        if not merged:
+        if not base_deltas:
             return {}
         if phase_start:
             self._in_phase = True
             self._sharded_trace = None
-            self._phase_fanout = self._route_fanout(merged)
+            self._phase_fanout = self._route_fanout(base_deltas)
             name = "auto_fanout" if self._phase_fanout else "auto_serial"
             self.pool_stats[name] += 1
             reg = metrics.ACTIVE
@@ -329,7 +322,7 @@ class ShardedEngine(IncrementalEngine):
                 # the serial engine's (the benchmark gates it within
                 # 1.1x of serial, see docs/SHARDING.md)
                 return self._propagator.run(base_deltas, trace=trace)
-        wave = dict(merged)
+        wave = dict(base_deltas)
         try:
             pool = self._ensure_pool(phase_start)
             results, stats, executions, exchange_bytes = pool.run_wave(

@@ -64,11 +64,6 @@ def decode_value(value):
     return value
 
 
-# backward-compatible aliases (pre-server the helpers were private)
-_encode_value = encode_value
-_decode_value = decode_value
-
-
 def _encode_row(name: str, row) -> list:
     encoded = []
     for column, value in enumerate(row):
@@ -130,7 +125,7 @@ def restore(db: Database, snapshot: Dict, create_missing: bool = False) -> int:
             )
         relation.clear()
         for encoded in payload["rows"]:
-            relation.insert(tuple(_decode_value(v) for v in encoded))
+            relation.insert(tuple(decode_value(v) for v in encoded))
             loaded += 1
     return loaded
 

@@ -46,7 +46,6 @@ class BaseRelation:
         "_auto_tries",
         "_frozen",
         "version",
-        "index_epoch",
     )
 
     #: per-relation cap on *automatically* created indexes (the state
@@ -99,9 +98,6 @@ class BaseRelation:
         self._frozen: Optional[FrozenSet[Row]] = frozenset()
         #: bumped on every physical change (snapshot staleness checks)
         self.version = 0
-        #: bumped whenever the SET of indexes changes (creation or
-        #: eviction) — cached probe callables validate against this
-        self.index_epoch = 0
 
     # -- mutation -------------------------------------------------------------
 
@@ -180,14 +176,12 @@ class BaseRelation:
         index = HashIndex(key)
         index.bulk_load(self._rows)
         self._indexes[key] = index
-        self.index_epoch += 1
         if auto:
             self._auto_indexes[key] = None
             while len(self._auto_indexes) > self.AUTO_INDEX_BUDGET:
                 victim, _ = self._auto_indexes.popitem(last=False)
                 del self._indexes[victim]
                 self._probers.pop(victim, None)
-                self.index_epoch += 1
                 reg = metrics.ACTIVE
                 if reg is not None:
                     reg.counter("index.evictions").inc()
@@ -201,8 +195,8 @@ class BaseRelation:
         kernel-requested: it counts against :attr:`TRIE_INDEX_BUDGET`
         and the least recently used auto trie is evicted on overflow —
         the same discipline :meth:`create_index` applies under
-        :attr:`AUTO_INDEX_BUDGET`.  Eviction bumps :attr:`index_epoch`
-        so any cached resolution revalidates.
+        :attr:`AUTO_INDEX_BUDGET`.  Kernels re-resolve their tries per
+        run, so an evicted trie is simply rebuilt on next use.
         """
         # imported here: repro.objectlog.join imports repro.obs only,
         # but the storage layer must not import objectlog at module
@@ -226,7 +220,6 @@ class BaseRelation:
         trie = TrieIndex(key)
         trie.bulk_load(self._rows)
         self._tries[key] = trie
-        self.index_epoch += 1
         reg = metrics.ACTIVE
         if reg is not None:
             reg.counter("join.trie_builds").inc()
@@ -237,7 +230,6 @@ class BaseRelation:
             while len(self._auto_tries) > self.TRIE_INDEX_BUDGET:
                 victim, _ = self._auto_tries.popitem(last=False)
                 del self._tries[victim]
-                self.index_epoch += 1
                 if reg is not None:
                     reg.counter("join.trie_evictions").inc()
         return trie
@@ -256,13 +248,15 @@ class BaseRelation:
     def prober(self, columns: Sequence[int], auto: bool = False):
         """A ``key -> rows`` callable with index resolution done once.
 
-        ``auto=True`` additionally creates a budgeted auto index when
-        the relation is large enough to make scanning wasteful (the
-        state views' on-demand indexing policy).  With no metrics
-        registry installed the prober reads index buckets directly
-        (cached per column set until the index is evicted); with one
-        installed it goes through :meth:`HashIndex.probe` so probe
-        accounting stays exact.
+        ``auto=True`` additionally creates a budgeted auto index once
+        the relation has more than 8 rows — the on-demand indexing
+        policy; keyed lookups of the new-state view and compiled plan
+        steps both resolve through here, and a scan prober handed out
+        below the threshold is not cached, so the next resolution sees
+        the growth.  With no metrics registry installed the prober
+        reads index buckets directly (cached per column set until the
+        index is evicted); with one installed it goes through
+        :meth:`HashIndex.probe` so probe accounting stays exact.
         """
         cols = tuple(columns)
         fn = self._probers.get(cols)

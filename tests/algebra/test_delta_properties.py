@@ -25,7 +25,6 @@ from repro.algebra.delta import (
     apply_delta,
     delta_union,
     delta_union_all,
-    merge_delta_maps,
 )
 
 rows = st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=5)
@@ -144,22 +143,3 @@ def test_mutable_merge_matches_union(a, b):
     cancelled = accumulator.merge(b)
     assert accumulator.freeze() == delta_union(a, b)
     assert cancelled == len(a.plus & b.minus) + len(a.minus & b.plus)
-
-
-@given(
-    st.lists(
-        st.dictionaries(st.sampled_from(["r", "s", "t"]), delta_sets(), max_size=3),
-        max_size=4,
-    )
-)
-def test_merge_delta_maps_per_relation(maps):
-    merged = merge_delta_maps(maps)
-    for name in {key for delta_map in maps for key in delta_map}:
-        expected = delta_union_all(
-            delta_map[name] for delta_map in maps if name in delta_map
-        )
-        if expected.empty:
-            assert name not in merged  # net-empty relations are dropped
-        else:
-            assert merged[name] == expected
-    assert all(merged[name] for name in merged)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.delta import DeltaSet
-from repro.algebra.oldstate import NewStateView, OldStateView, view_for
+from repro.algebra.oldstate import NewStateView, OldStateView
 from repro.storage.database import Database
 
 
@@ -79,11 +79,3 @@ class TestOldStateView:
         old = OldStateView(db, {"r": DeltaSet({(4, 4)}, frozenset())})
         assert old.cardinality("r") == 3
         assert NewStateView(db).cardinality("r") == 4
-
-
-class TestViewFor:
-    def test_dispatch(self, db):
-        assert isinstance(view_for(db, "new", {}), NewStateView)
-        assert isinstance(view_for(db, "old", {}), OldStateView)
-        with pytest.raises(ValueError):
-            view_for(db, "future", {})

@@ -5,7 +5,9 @@ may not be edited by the PRs it judges, so a PR that renames or removes
 a ``repro`` name it uses breaks the benchmark at measurement time, after
 the tests passed.  This scans the benchmark's source for every
 ``repro`` name it imports or reaches through an attribute and resolves
-each one here, in tier-1.
+each one here, in tier-1 — and every engine counter ``layers.py`` reads
+is matched against what ``src/`` still emits, so a counter removal
+fails here and not as a silent 0 in an artifact.
 """
 
 import ast
@@ -16,8 +18,21 @@ import pytest
 
 from repro.bench.workload import build_inventory
 
-E2E = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+E2E = ROOT / "benchmarks" / "e2e"
 SOURCES = sorted(E2E.glob("*.py"))
+
+#: counters ``layers.py`` still reads although ``src/`` stopped
+#: emitting them (they read 0); ``benchmarks/e2e/`` may not change in
+#: the PRs it judges, so the pending benchmark-only PR drops the reads
+#: and empties this list
+STALE_COUNTERS = {
+    "join.ho_hits",
+    "join.ho_misses",
+    "join.ho_disabled",
+    "evaluate.prober_cache.hits",
+    "evaluate.prober_cache.misses",
+}
 
 
 def _dotted(node):
@@ -86,3 +101,71 @@ def test_the_benchmarks_default_inventory_constructs():
     workload.activate()
     workload.touch_one_item(0, below=True)
     assert len(workload.orders) == 1
+
+
+def _strings(node):
+    return {
+        c.value
+        for c in ast.walk(node)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    }
+
+
+def _get_keys(tree):
+    """The first-argument nodes of every ``x.get(...)`` call."""
+    return [
+        call.args[0]
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "get"
+        and call.args
+    ]
+
+
+def counters_the_benchmark_reads():
+    """The dotted metric names ``layers.py`` looks up in the engine's
+    registries: the values of its two counter tables and the keys
+    ``from_counters`` ``.get()``s."""
+    tree = ast.parse((E2E / "layers.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _dotted(node.targets[0]) in (
+            "PER_TXN_COUNTERS",
+            "WHOLE_RUN_COUNTERS",
+        ):
+            for value in node.value.values:
+                names |= _strings(value)
+        elif isinstance(node, ast.FunctionDef) and node.name == "from_counters":
+            for key in _get_keys(node):
+                names |= _strings(key)
+    return {name for name in names if "." in name}
+
+
+def metrics_src_emits():
+    """Every string literal under ``src/`` that is not itself a
+    ``.get()`` key (``last_check_stats`` reads counters by name too),
+    and the constant heads of f-strings (``f"shard.pool.{name}"``)."""
+    literals, heads = set(), set()
+    for path in (ROOT / "src").rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = {id(key) for key in _get_keys(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                if node.values and isinstance(node.values[0], ast.Constant):
+                    heads.add(node.values[0].value)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in reads
+            ):
+                literals.add(node.value)
+    return literals, tuple(head for head in heads if head.endswith("."))
+
+
+def test_every_counter_the_benchmark_reads_is_still_emitted():
+    read = counters_the_benchmark_reads()
+    assert "propagation.guard_checks" in read and "index.probes" in read
+    literals, heads = metrics_src_emits()
+    emitted = {name for name in read if name in literals or name.startswith(heads)}
+    assert read - emitted == STALE_COUNTERS

@@ -159,6 +159,28 @@ class TestImmediateProcessing:
         engine.execute("rollback;")
         assert engine.amos.value("quantity", engine.get("a")) == 100
 
+    def test_object_deletion_fires_inside_open_transaction(self):
+        """``delete_object`` is a data-model update like ``set``: under
+        immediate processing its consequences are checked at once, not
+        at the next update or at commit."""
+        engine, _ = make_sales_engine(processing="immediate")
+        hits = []
+        engine.amos.create_procedure("note", ("region",), hits.append)
+        add_sale(engine, "s1", "north", 60)
+        add_sale(engine, "s2", "north", 60)
+        engine.execute(
+            """
+            create rule slump() as
+                when for each region r where region_total(r) < 100 do note(r);
+            activate slump();
+            begin;
+            """
+        )
+        engine.amos.delete_object(engine.get("s2"))
+        assert hits == [engine.get("north")]  # fired BEFORE commit
+        engine.execute("commit;")
+        assert hits == [engine.get("north")]
+
     def test_deferred_waits_for_commit(self):
         engine = AmosqlEngine(processing="deferred")
         hits = []

@@ -107,12 +107,23 @@ class TestRelationTrieMaintenance:
         # the evicted permutation was the least recently used (first)
         assert orders[0] not in relation.tries
 
-    def test_epoch_bumps_on_build_and_eviction(self):
+    def test_evicted_trie_is_rebuilt_on_next_resolution(self):
+        """Kernels resolve their tries per run, so eviction needs no
+        invalidation signal: the next resolution builds a fresh trie
+        from the relation as it is then."""
         db = Database()
-        relation = db.create_relation("e", 2)
-        before = relation.index_epoch
-        relation.trie_index((0, 1), auto=True)
-        assert relation.index_epoch > before
+        relation = db.create_relation("wide", 4)
+        relation.insert((1, 2, 3, 4))
+        orders = list(itertools.permutations(range(4)))
+        evicted = relation.trie_index(orders[0], auto=True)
+        for order in orders[1 : relation.TRIE_INDEX_BUDGET + 1]:
+            relation.trie_index(order, auto=True)
+        assert orders[0] not in relation.tries
+        relation.insert((5, 6, 7, 8))
+        rebuilt = relation.trie_index(orders[0], auto=True)
+        assert rebuilt is not evicted
+        assert set(rebuilt.root) == {1, 5}
+        assert set(evicted.root) == {1}
 
 
 @pytest.fixture

@@ -1,190 +1,150 @@
-"""Tests for the evaluator's bounded prober cache (LRU + counters).
+"""Probe resolution belongs to the relation.
 
-The cache memoizes resolved ``(pred, columns) -> prober`` closures per
-evaluator.  Unbounded it grows with the number of distinct probe shapes
-a long-lived evaluator sees (one per relation x column combination per
-differential); it now mirrors the auto-index LRU: a fixed budget,
-``move_to_end`` on hit, ``popitem(last=False)`` on overflow, and
-hit/miss/eviction counters for ``last_check_stats()``.
-
-On a live (new-state) view entries additionally survive ``reset()`` —
-re-resolving every check phase cost ~10% of the steady-state batch
-check — revalidated on hit against the source relation's
-``index_epoch``, a scan-probe outgrowing the auto-index threshold, and
-the metrics on/off mode they were resolved under.
+A compiled plan step asks its evaluator's view for a ``key -> rows``
+probe once per execution.  The only cache behind that call is
+``BaseRelation._probers`` — index-backed bucket readers, dropped when
+the relation evicts the index behind them — so nothing above the
+relation can serve a stale probe: not across ``reset()``, not across a
+relation becoming touched by the rollback delta, not across metrics
+being switched on.
 """
 
-from repro.algebra.oldstate import NewStateView
-from repro.objectlog.evaluate import PROBER_CACHE_BUDGET, Evaluator
+from repro.algebra.delta import DeltaSet
+from repro.algebra.oldstate import NewStateView, OldStateView
+from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.program import Program
 from repro.obs import metrics
 from repro.storage.database import Database
 
 
-def make_evaluator(n_relations=1, arity=2):
+def make_evaluator(names=("rel0",), rows=((1, 2), (3, 4)), old=False):
     db = Database()
     program = Program()
-    for i in range(n_relations):
-        name = f"rel{i}"
-        program.declare_base(name, arity)
-        db.create_relation(name, arity).bulk_insert([(1, 2), (3, 4)])
-    return Evaluator(program, NewStateView(db))
+    for name in names:
+        program.declare_base(name, 2)
+        db.create_relation(name, 2).bulk_insert(rows)
+    view = OldStateView(db, {}) if old else NewStateView(db)
+    return db, Evaluator(program, view)
+
+
+def twenty_rows():
+    return [(k, k + 1) for k in range(20)]
 
 
 class TestProberCache:
-    def test_hit_and_miss_counters(self):
-        evaluator = make_evaluator()
-        with metrics.collecting() as reg:
-            first = evaluator.prober("rel0", (0,))
-            again = evaluator.prober("rel0", (0,))
-            other = evaluator.prober("rel0", (1,))
-        assert first is again
-        assert other is not first
-        counters = reg.counters()
-        assert counters["evaluate.prober_cache.hits"] == 1
-        assert counters["evaluate.prober_cache.misses"] == 2
-
     def test_probers_actually_probe(self):
-        evaluator = make_evaluator()
-        probe = evaluator.prober("rel0", (0,))
+        _, evaluator = make_evaluator()
+        probe = evaluator.view.prober("rel0", (0,))
         assert set(probe((1,))) == {(1, 2)}
-
-    def test_budget_bound_and_lru_eviction(self):
-        evaluator = make_evaluator(n_relations=PROBER_CACHE_BUDGET + 5)
-        with metrics.collecting() as reg:
-            for i in range(PROBER_CACHE_BUDGET + 5):
-                evaluator.prober(f"rel{i}", (0,))
-        assert len(evaluator.prober_cache) == PROBER_CACHE_BUDGET
-        assert reg.counters()["evaluate.prober_cache.evictions"] == 5
-        # the oldest entries fell off the front
-        assert ("rel0", (0,)) not in evaluator.prober_cache
-        assert (
-            f"rel{PROBER_CACHE_BUDGET + 4}",
-            (0,),
-        ) in evaluator.prober_cache
-
-    def test_hit_refreshes_lru_position(self):
-        evaluator = make_evaluator(n_relations=PROBER_CACHE_BUDGET + 1)
-        for i in range(PROBER_CACHE_BUDGET):
-            evaluator.prober(f"rel{i}", (0,))
-        evaluator.prober("rel0", (0,))  # hit: back of the queue
-        evaluator.prober(f"rel{PROBER_CACHE_BUDGET}", (0,))  # overflow
-        assert ("rel0", (0,)) in evaluator.prober_cache
-        assert ("rel1", (0,)) not in evaluator.prober_cache
 
     def test_reset_keeps_live_view_probers(self):
         """New-state probers read live, incrementally maintained
-        structures — reset() (one call per check phase) must not throw
-        them away."""
-        evaluator = make_evaluator()
-        probe = evaluator.prober("rel0", (0,))
+        structures: the relation hands the same closure out check phase
+        after check phase."""
+        db, evaluator = make_evaluator(rows=twenty_rows())
+        probe = evaluator.view.prober("rel0", (0,))
         evaluator.reset()
-        assert evaluator.prober_cache
-        assert evaluator.prober("rel0", (0,)) is probe
+        assert evaluator.view.prober("rel0", (0,)) is probe
         # a probe resolved with metrics off reads buckets directly; a
-        # metered phase must re-resolve through HashIndex.probe so
-        # probe accounting stays exact
+        # metered phase must resolve to HashIndex.probe so probe
+        # accounting stays exact
         with metrics.collecting() as reg:
-            evaluator.prober("rel0", (0,))
-        assert reg.counters()["evaluate.prober_cache.misses"] == 1
+            metered = evaluator.view.prober("rel0", (0,))
+            assert set(metered((3,))) == {(3, 4)}
+        assert metered is not probe
+        assert reg.counters()["index.probes"] == 1
 
     def test_reset_clears_snapshot_view_probers(self):
-        """Old-state probers close over a per-transaction rollback
-        reconstruction and must die with it."""
-        from repro.algebra.delta import DeltaSet
-        from repro.algebra.oldstate import OldStateView
-
-        db = Database()
-        program = Program()
-        program.declare_base("rel0", 2)
-        db.create_relation("rel0", 2).bulk_insert([(1, 2)])
-        view = OldStateView(db, {"rel0": DeltaSet(plus=[(1, 2)])})
-        evaluator = Evaluator(program, view)
-        evaluator.prober("rel0", (0,))
-        assert evaluator.prober_cache
+        """An old-state prober over a touched relation reads the view's
+        rollback reconstruction; ``reset()`` drops that reconstruction,
+        so even a closure resolved before it answers for the new
+        transaction's old state, never the previous one's."""
+        db, evaluator = make_evaluator(rows=twenty_rows(), old=True)
+        view = evaluator.view
+        relation = db.relation("rel0")
+        relation.delete((5, 6))
+        view.reset({"rel0": DeltaSet(minus=[(5, 6)])})
+        before = view.prober("rel0", (0,))
+        assert set(before((5,))) == {(5, 6)}
+        # the deletion commits; the next transaction deletes (7, 8)
+        relation.delete((7, 8))
+        view.reset({"rel0": DeltaSet(minus=[(7, 8)])})
         evaluator.reset()
-        assert not evaluator.prober_cache
+        for probe in (before, view.prober("rel0", (0,))):
+            assert set(probe((5,))) == set()
+            assert set(probe((7,))) == {(7, 8)}
 
     def test_untouched_relation_old_probers_survive_reset(self):
         """An old-state prober for a relation the rollback delta does
-        not touch reads the live relation (the old state IS the new
-        state there) — the monitoring steady state, where re-resolving
-        4 probers per transaction was ~7% of the batch check phase."""
-        from repro.algebra.delta import DeltaSet
-        from repro.algebra.oldstate import OldStateView
-
-        db = Database()
-        program = Program()
-        for name in ("touched", "untouched"):
-            program.declare_base(name, 2)
-            relation = db.create_relation(name, 2)
-            relation.bulk_insert([(k, k + 1) for k in range(20)])
-            relation.create_index((0,))
-        view = OldStateView(db, {"touched": DeltaSet(plus=[(0, 1)])})
-        evaluator = Evaluator(program, view)
-        stable = evaluator.prober("untouched", (0,))
-        evaluator.prober("touched", (0,))
+        not touch IS the live relation's (the old state is the new
+        state there) — the monitoring steady state."""
+        db, evaluator = make_evaluator(
+            names=("touched", "untouched"), rows=twenty_rows(), old=True
+        )
+        view = evaluator.view
+        view.reset({"touched": DeltaSet(plus=[(0, 1)])})
+        stable = view.prober("untouched", (0,))
+        assert stable is db.relation("untouched").prober((0,))
         view.reset({"touched": DeltaSet(plus=[(2, 3)])})
         evaluator.reset()
-        # the untouched relation's entry survived; the touched one died
-        assert ("untouched", (0,)) in evaluator.prober_cache
-        assert ("touched", (0,)) not in evaluator.prober_cache
-        assert evaluator.prober("untouched", (0,)) is stable
+        assert view.prober("untouched", (0,)) is stable
         assert set(stable((3,))) == {(3, 4)}
 
     def test_old_prober_invalidated_when_relation_becomes_touched(self):
-        """The surviving entry revalidates per hit: once a transaction
-        DOES change the relation, the cached live probe would read the
-        new state, so the hit must miss and re-resolve through the
-        rollback reconstruction."""
-        from repro.algebra.delta import DeltaSet
-        from repro.algebra.oldstate import OldStateView
-
-        db = Database()
-        program = Program()
-        program.declare_base("rel0", 2)
-        relation = db.create_relation("rel0", 2)
-        relation.bulk_insert([(k, k + 1) for k in range(20)])
-        relation.create_index((0,))
-        view = OldStateView(db, {})
-        evaluator = Evaluator(program, view)
-        live = evaluator.prober("rel0", (0,))
+        """Once a transaction DOES change the relation, the live probe
+        would read the new state: after the view's ``reset()`` makes the
+        relation touched, resolution must go through the rollback
+        reconstruction."""
+        db, evaluator = make_evaluator(rows=twenty_rows(), old=True)
+        view = evaluator.view
+        relation = db.relation("rel0")
+        live = view.prober("rel0", (0,))
         view.reset({"rel0": DeltaSet(plus=[(5, 99)])})
         evaluator.reset()
         relation.insert((5, 99))
-        rollback = evaluator.prober("rel0", (0,))
+        rollback = view.prober("rel0", (0,))
         assert rollback is not live
         # the old state never contained the inserted row
         assert set(rollback((5,))) == {(5, 6)}
         assert set(live((5,))) == {(5, 6), (5, 99)}
 
-    def test_index_epoch_change_invalidates_entry(self):
-        """Index/trie create or evict bumps the relation's
-        index_epoch; a cached probe resolved before the change may
-        close over an evicted index's orphaned buckets."""
-        evaluator = make_evaluator()
-        evaluator.prober("rel0", (0,))
-        evaluator.view.prober_source("rel0").create_index((1,))
-        with metrics.collecting() as reg:
-            evaluator.prober("rel0", (0,))
-        assert reg.counters()["evaluate.prober_cache.misses"] == 1
-        assert "evaluate.prober_cache.hits" not in reg.counters()
+    def test_index_eviction_drops_the_cached_prober(self):
+        """A cached probe closes over its index's buckets; once the
+        auto-index budget evicts that index the buckets are orphaned,
+        so the relation forgets the probe with it."""
+        db, evaluator = make_evaluator()
+        wide = db.create_relation("wide", 12)
+        evaluator.program.declare_base("wide", 12)
+        wide.bulk_insert([tuple(i * 12 + c for c in range(12)) for i in range(30)])
+        view = evaluator.view
+        stale = view.prober("wide", (0,))
+        for col in range(1, wide.AUTO_INDEX_BUDGET + 1):
+            view.prober("wide", (col,))
+        assert wide.index_on((0,)) is None
+        wide.insert(tuple(range(1000, 1012)))
+        fresh = view.prober("wide", (0,))
+        assert fresh is not stale
+        assert set(fresh((1000,))) == {tuple(range(1000, 1012))}
+        assert not stale((1000,))  # the orphaned buckets never saw it
 
     def test_scan_probe_rechecks_after_growth(self):
-        """A probe resolved while the relation was small is a scan;
-        once the relation outgrows the auto-index threshold a hit must
-        re-resolve so the view can build the index."""
-        evaluator = make_evaluator()
-        relation = evaluator.view.prober_source("rel0")
-        evaluator.prober("rel0", (0,))  # 2 rows: scan fallback
+        """A probe resolved while the relation was small is a scan and
+        is not cached; once the relation outgrows the auto-index
+        threshold the next resolution builds the index."""
+        db, evaluator = make_evaluator()
+        relation = db.relation("rel0")
+        evaluator.view.prober("rel0", (0,))  # 2 rows: scan fallback
+        assert relation.index_on((0,)) is None
         relation.bulk_insert([(k, k) for k in range(10, 30)])
-        probe = evaluator.prober("rel0", (0,))  # re-resolves, builds index
+        probe = evaluator.view.prober("rel0", (0,))  # builds the index
         assert relation.index_on((0,)) is not None
         assert set(probe((1,))) == {(1, 2)}
 
     def test_zero_overhead_when_metrics_off(self):
-        evaluator = make_evaluator()
+        """Unmetered, resolving twice is two dict reads: the same
+        closure, nothing allocated per resolution."""
+        db, evaluator = make_evaluator(rows=twenty_rows())
         assert metrics.ACTIVE is None
-        evaluator.prober("rel0", (0,))
-        evaluator.prober("rel0", (0,))
-        assert len(evaluator.prober_cache) == 1
+        first = evaluator.view.prober("rel0", (0,))
+        assert evaluator.view.prober("rel0", (0,)) is first
+        assert len(db.relation("rel0")._probers) == 1

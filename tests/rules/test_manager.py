@@ -171,6 +171,56 @@ class TestFiring:
             manager.activate("r", ())
 
 
+class TestCompiledStrictFilter:
+    """The default check phase never enters the interpretive scheduler:
+    the strict filter is answered by the propagator's long-lived
+    old-state evaluator through compiled plans (action expressions that
+    call derived functions, and ad-hoc queries, still may)."""
+
+    def test_firing_commit_builds_no_evaluator_and_no_old_view(self, monkeypatch):
+        from repro.algebra.oldstate import OldStateView
+        from repro.amosql.interpreter import AmosqlEngine
+        from repro.objectlog.evaluate import Evaluator
+
+        engine = AmosqlEngine()
+        noted = []
+        engine.amos.create_procedure("note", ("item",), noted.append)
+        engine.execute(
+            """
+            create type item;
+            create function quantity(item) -> integer;
+            create function threshold(item) -> integer;
+            create rule low() as
+                when for each item i where quantity(i) < threshold(i) do note(i);
+            create item instances :a, :b;
+            set quantity(:a) = 100; set threshold(:a) = 50;
+            set quantity(:b) = 100; set threshold(:b) = 50;
+            activate low();
+            """
+        )
+        built = []
+        for cls in (Evaluator, OldStateView):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _cls=cls, **kwargs):
+                built.append(_cls.__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        def no_interpretive_solve(self, literals, env):
+            raise AssertionError("check phase entered the interpretive scheduler")
+
+        monkeypatch.setattr(Evaluator, "_solve", no_interpretive_solve)
+        engine.execute("set quantity(:a) = 10;")
+        assert noted == [engine.get("a")]
+        assert built == []
+        # strict: a confirming update is filtered, again without either
+        engine.execute("set quantity(:a) = 20;")
+        assert noted == [engine.get("a")]
+        assert built == []
+
+
 class TestCascadingActions:
     def test_action_updates_retrigger_other_rules(self):
         db, program, manager = make_db()

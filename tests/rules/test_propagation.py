@@ -246,13 +246,17 @@ class TestSetAtATimeExecution:
 
     def test_uncompilable_guard_falls_back_to_per_row_holds(self):
         """A target whose guard cannot be compiled (recorded as None in
-        the plan cache) is guarded by one ``holds()`` per candidate row,
-        with the same verdict as the batched semi-join."""
+        the new-state evaluator's plan cache) is guarded by one
+        ``holds()`` per candidate row, with the same verdict as the
+        batched semi-join."""
         outcomes = []
         for compiled in (True, False):
             db, propagator = make_guard_setup()
             if not compiled:
-                propagator._guard_plans["p"] = None
+                clauses = propagator.program.predicate("p").clauses
+                propagator._new_eval._derived_plans["p", (0, 1)] = (
+                    clauses, len(clauses), None
+                )
             delta = DeltaSet(set(), {(1, 1)})
             apply(db, "q", delta)
             outcomes.append((

@@ -190,16 +190,6 @@ class TestAutoIndexBudget:
                 relation.create_index((col,), auto=True)
         assert registry.value("index.evictions") == 2
 
-    def test_index_epoch_tracks_set_changes(self):
-        relation = self.wide_relation()
-        epoch = relation.index_epoch
-        relation.create_index((0,), auto=True)
-        assert relation.index_epoch == epoch + 1
-        for col in range(1, relation.AUTO_INDEX_BUDGET + 1):
-            relation.create_index((col,), auto=True)
-        # the last creation also evicted one: +1 create, +1 evict each
-        assert relation.index_epoch == epoch + relation.AUTO_INDEX_BUDGET + 2
-
     def test_evicted_prober_is_not_served_stale(self):
         relation = self.wide_relation()
         probe0 = relation.prober((0,), auto=True)
