@@ -14,7 +14,6 @@ API that the AMOSQL interpreter (and any Python application) talks to:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -99,7 +98,7 @@ class AmosDatabase:
             explain=explain,
             **manager_options,
         )
-        self._oid_counter = itertools.count(1)
+        self._next_oid = 1
         #: per rule: (condition predicate, auxiliary NOT-predicates)
         self._rule_artifacts: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
         #: the attached write-ahead log (None = not durable); see
@@ -137,7 +136,8 @@ class AmosDatabase:
         """Create a surrogate object and enter it into all its extents."""
         if not self.types.is_user_type(type_name):
             raise TypeCheckError(f"cannot instantiate non-user type {type_name!r}")
-        oid = OID(next(self._oid_counter), type_name)
+        oid = OID(self._next_oid, type_name)
+        self._next_oid += 1
         with self.storage._implicit_transaction():
             for extent in sorted(self.types.supertype_closure(type_name)):
                 self.storage.insert(extent, (oid,))
@@ -595,10 +595,25 @@ class AmosDatabase:
             op, relation.name, relation.arity, relation.column_names
         )
 
-    def advance_oid_counter(self, highest: int) -> None:
-        """Ensure new OIDs are allocated strictly above ``highest``."""
-        current = next(self._oid_counter)
-        self._oid_counter = itertools.count(max(current, highest + 1))
+    def reserve_oids(self, rows: Optional[Iterable[Row]] = None) -> None:
+        """Allocate new OIDs strictly above every OID in ``rows``
+        (default: every stored row).
+
+        The one high-water scan: :meth:`load_data` runs it over the
+        stored rows, log replay also over every Δ⁺ and Δ⁻ row it
+        applies — an object created and later deleted leaves no row
+        behind, but its OID must still never be issued again.
+        """
+        if rows is None:
+            rows = (
+                row
+                for name in self.storage.relation_names()
+                for row in self.storage.relation(name).rows()
+            )
+        for row in rows:
+            for value in row:
+                if isinstance(value, OID) and value.id >= self._next_oid:
+                    self._next_oid = value.id + 1
 
     # -- persistence ------------------------------------------------------------------------
 
@@ -619,17 +634,10 @@ class AmosDatabase:
         objects never collide with reloaded ones.  Returns the number
         of rows loaded.
         """
-        from repro.amos.oid import OID
         from repro.storage import persistence
 
         loaded = persistence.load(self.storage, path)
-        highest = 0
-        for name in self.storage.relation_names():
-            for row in self.storage.relation(name).rows():
-                for value in row:
-                    if isinstance(value, OID):
-                        highest = max(highest, value.id)
-        self.advance_oid_counter(highest)
+        self.reserve_oids()
         return loaded
 
     def snapshot_extensions(self) -> Dict[str, List[str]]:

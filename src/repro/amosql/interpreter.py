@@ -24,7 +24,22 @@ from repro.storage.snapshot import SnapshotView
 
 Row = Tuple
 
-__all__ = ["AmosqlEngine"]
+__all__ = ["AmosqlEngine", "register_print_procedures"]
+
+
+def register_print_procedures(amos: AmosDatabase, out) -> None:
+    """Give ``amos`` the shell's ``print_`` … ``print_4`` procedures
+    (one per arity, writing to ``out``), so the rule actions of the
+    example scripts work in the REPL, a served primary and a replica
+    alike.  Names the bootstrap already defined are left alone."""
+
+    def printer(*args):
+        print(" ".join(repr(a) for a in args), file=out, flush=True)
+
+    for arity in range(1, 5):
+        name = "print_" if arity == 1 else f"print_{arity}"
+        if name not in amos.procedures:
+            amos.create_procedure(name, ("object",) * arity, printer)
 
 
 class AmosqlEngine:

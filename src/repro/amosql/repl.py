@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
-from repro.amosql.interpreter import AmosqlEngine
+from repro.amosql.interpreter import AmosqlEngine, register_print_procedures
 from repro.errors import ReproError
 
 __all__ = ["Repl", "main"]
@@ -58,21 +58,7 @@ class Repl:
         self.engine = engine or AmosqlEngine(mode=mode, explain=True)
         self.out = out or sys.stdout
         self._buffer: List[str] = []
-        self._register_print_procedures()
-
-    def _register_print_procedures(self) -> None:
-        for arity in range(1, 5):
-            name = "print_" if arity == 1 else f"print_{arity}"
-            types = tuple("object" for _ in range(arity))
-            self.engine.amos.create_procedure(
-                name, types, self._make_printer()
-            )
-
-    def _make_printer(self):
-        def printer(*args):
-            print(" ".join(repr(a) for a in args), file=self.out)
-
-        return printer
+        register_print_procedures(self.engine.amos, self.out)
 
     # -- command handling --------------------------------------------------------
 

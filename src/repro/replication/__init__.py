@@ -12,9 +12,9 @@ the wire:
   off disk, so streaming NEVER takes the engine lock;
 * a :class:`ReplicaServer` appends every received record verbatim to
   its *own* WAL copy (log-then-apply), replays it through the same
-  replay-beneath-the-rules path crash recovery uses, and publishes a
-  snapshot at exactly the primary's commit epoch via
-  ``restore_epoch`` — readers see whole epochs or nothing;
+  :func:`~repro.storage.wal.apply_record` crash recovery loops over,
+  and so publishes a snapshot at exactly the primary's commit epoch —
+  readers see whole epochs or nothing;
 * the replica serves the existing lock-free ``query_ro`` protocol and
   refuses writes with a redirect to the primary;
 * :class:`~repro.server.client.AmosClient` fans reads out across

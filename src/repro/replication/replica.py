@@ -3,11 +3,9 @@
 A replica is a :class:`~repro.server.server.AmosServer` whose database
 is never written by clients: an apply thread subscribes to the
 primary's replication stream (``replicate`` op, protocol v4) and plays
-every record through the SAME replay-beneath-the-rules path crash
-recovery uses (:func:`repro.storage.wal.replay_commit_record` /
-``replay_catalog_record``) — minus-before-plus raw set operations, no
-check phases, no re-fired actions.  Each commit record ends in
-``restore_epoch``, so the replica publishes a snapshot at *exactly* the
+every record through the SAME function crash recovery loops over
+(:func:`repro.storage.wal.apply_record`; docs/DURABILITY.md, "Applying
+a committed record").  Each commit record is published at *exactly* the
 primary's commit epoch: ``query_ro`` readers observe whole epochs or
 nothing, and an epoch-pinned read means the same bytes here as on the
 primary.
@@ -37,13 +35,7 @@ from repro.obs import metrics
 from repro.server import protocol
 from repro.server.server import AmosServer, parse_hostport
 from repro.storage import wal as wal_module
-from repro.storage.persistence import decode_value
-from repro.storage.wal import (
-    WalRecord,
-    WriteAheadLog,
-    replay_catalog_record,
-    replay_commit_record,
-)
+from repro.storage.wal import WalRecord, WriteAheadLog
 
 __all__ = ["ReplicaServer", "REPLICA_FAULT_POINTS", "serve_replica"]
 
@@ -128,9 +120,10 @@ class ReplicaServer(AmosServer):
         self.stream_timeout = stream_timeout
         self.fault_hook = fault_hook
         self._wal: Optional[WriteAheadLog] = None
-        self._mem_next_lsn = 0
+        #: the next stream LSN this replica needs
+        self.next_lsn = 0
         self.last_recovery = None
-        #: epochs come ONLY from the stream (restore_epoch) plus the one
+        #: epochs come ONLY from the stream (each commit record's) plus the one
         #: boot publish — a local auto-publish would mint epochs the
         #: primary never had and break epoch-pinned read equivalence
         self.amos.storage.auto_publish = False
@@ -150,28 +143,19 @@ class ReplicaServer(AmosServer):
 
     # -- lifecycle ----------------------------------------------------------------
 
-    @property
-    def next_lsn(self) -> int:
-        """The next stream LSN this replica needs."""
-        if self._wal is not None:
-            return self._wal.next_lsn
-        return self._mem_next_lsn
-
     def start(self) -> "ReplicaServer":
         """Recover the local WAL copy, bind, then chase the primary."""
         if self._listener is not None:
             raise ReplicationError("replica already started")
         if self.wal_copy_dir is not None:
-            # replay the copy through the standard recovery path, then
-            # reopen the log for verbatim appends (recovery's listener
-            # attachment would double-log every replayed catalog op)
-            wal_module.recover(self.wal_copy_dir, amos=self.amos, attach=True)
-            self.last_recovery = self.amos.wal.last_recovery
-            self.amos.detach_wal()
+            # replay the copy, then keep the log open for verbatim
+            # appends — never attached: commit/catalog listeners would
+            # double-log every record the apply loop replays
             self._wal = WriteAheadLog(self.wal_copy_dir)
-            self._mem_next_lsn = self._wal.next_lsn
-            report = self.last_recovery
-            self._count("wal.recovered_records", report.records)
+            report = self.last_recovery = wal_module.replay(self._wal, self.amos)
+            self.next_lsn = self._wal.next_lsn
+            # replay() already counted wal.recovered_records globally
+            self.registry.counter("wal.recovered_records").inc(report.records)
             self._count("replica.recovered_records", report.records)
         if self.amos.storage.snapshot_epoch == 0:
             # mirror the primary's single boot publish over the shared
@@ -274,10 +258,9 @@ class ReplicaServer(AmosServer):
                     return  # primary went away cleanly; reconnect
                 event = frame.get("event")
                 if event == "wal":
-                    for payload in frame.get("records", ()):
-                        record = WalRecord.from_payload(payload)
-                        with self._engine_lock:
-                            self._apply_record(record)
+                    self._apply_batch(
+                        [WalRecord.from_payload(p) for p in frame.get("records", ())]
+                    )
                 elif event == "heartbeat":
                     self._note_primary_epoch(frame.get("epoch", 0))
         finally:
@@ -289,32 +272,34 @@ class ReplicaServer(AmosServer):
             except OSError:
                 pass
 
+    def _apply_batch(self, records) -> None:
+        """Apply one ``wal`` frame's records, each under the engine lock."""
+        try:
+            for record in records:
+                with self._engine_lock:
+                    self._apply_record(record)
+        finally:
+            if "rule" in {record.kind for record in records}:
+                # replay happens beneath the engine, so re-baseline the
+                # freshly-(de)activated monitor set — once per batch
+                with self._engine_lock:
+                    self.amos.rules.resync_engine()
+
     def _apply_record(self, record: WalRecord) -> None:
         """Log-then-apply one stream record (runs on the apply thread)."""
         self._fault("replica.apply.pre_log", lsn=record.lsn, kind=record.kind)
-        expected = self.next_lsn
-        if record.lsn != expected:
+        if record.lsn != self.next_lsn:
             raise ReplicationError(
                 f"replication stream gap: got lsn {record.lsn}, "
-                f"expected {expected}"
+                f"expected {self.next_lsn}"
             )
         if self._wal is not None:
             self._wal.append_record(record)
-        self._mem_next_lsn = record.lsn + 1
+        self.next_lsn = record.lsn + 1
         self._fault("replica.apply.mid_apply", lsn=record.lsn, kind=record.kind)
         start = time.perf_counter()
-        storage = self.amos.storage
-        if record.kind == "catalog":
-            replay_catalog_record(storage, record)
-        elif record.kind == "commit":
-            replay_commit_record(storage, record)
-            self._note_primary_epoch(record.epoch)
-        elif record.kind == "rule":
-            self._apply_rule(record)
-        else:
-            raise ReplicationError(
-                f"unknown WAL record kind {record.kind!r} at lsn {record.lsn}"
-            )
+        wal_module.apply_record(self.amos, record)
+        self._note_primary_epoch(record.epoch)  # 0 (a no-op) off commits
         self._fault("replica.apply.post_apply", lsn=record.lsn, kind=record.kind)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         self._count("replica.applied_records")
@@ -323,20 +308,6 @@ class ReplicaServer(AmosServer):
         with self._applied:
             self.last_applied_lsn = record.lsn
             self._applied.notify_all()
-
-    def _apply_rule(self, record: WalRecord) -> None:
-        """Idempotent activate/deactivate, exactly like recovery."""
-        params = tuple(decode_value(p) for p in record.data.get("params", ()))
-        op = record.data["op"]
-        name = record.data["rule"]
-        rules = self.amos.rules
-        if op == "activate" and not rules.is_active(name, params):
-            rules.activate(name, params)
-        elif op == "deactivate" and rules.is_active(name, params):
-            rules.deactivate(name, params)
-        # commit replay happens beneath the engine, so re-baseline the
-        # freshly-(de)activated monitor set against the replicated state
-        rules.resync_engine()
 
     def _fault(self, point: str, **context) -> None:
         hook = self.fault_hook
@@ -499,22 +470,13 @@ def serve_replica(
     bootstrap states and every shared epoch means the same bytes.
     """
     from repro.amos.database import AmosDatabase
-    from repro.amosql.interpreter import AmosqlEngine
+    from repro.amosql.interpreter import AmosqlEngine, register_print_procedures
 
     out = out or sys.stdout
 
     def factory():
         amos = AmosDatabase(mode=mode, observe=observe, explain=True)
-        for arity in range(1, 5):
-            name = "print_" if arity == 1 else f"print_{arity}"
-            if name not in amos.procedures:
-                amos.create_procedure(
-                    name,
-                    tuple("object" for _ in range(arity)),
-                    lambda *args: print(
-                        " ".join(repr(a) for a in args), file=out, flush=True
-                    ),
-                )
+        register_print_procedures(amos, out)
         if script:
             amos.storage.auto_publish = True
             AmosqlEngine(amos).execute(script)

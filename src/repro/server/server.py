@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.amos.database import AmosDatabase
 from repro.amosql import ast
-from repro.amosql.interpreter import AmosqlEngine
+from repro.amosql.interpreter import AmosqlEngine, register_print_procedures
 from repro.amosql.parser import parse
 from repro.errors import ProtocolError, ServerError, TransactionError
 from repro.obs import metrics, tracing
@@ -152,7 +152,8 @@ class AmosServer:
             if self.wal_dir is not None and self.amos.wal is None:
                 report = self.amos.open_wal(self.wal_dir)
                 self.last_recovery = report
-                self._count("wal.recovered_records", report.records)
+                # recover() already counted this one globally
+                self.registry.counter("wal.recovered_records").inc(report.records)
                 self._count("wal.recovered_commits", report.commits)
             if self.amos.wal is not None and self.replication_hub is None:
                 # local import: repro.replication imports repro.server
@@ -779,16 +780,7 @@ def serve(
         wal_dir=wal_dir,
         shards=shards,
     )
-    for arity in range(1, 5):
-        name = "print_" if arity == 1 else f"print_{arity}"
-        if name not in server.amos.procedures:
-            server.amos.create_procedure(
-                name,
-                tuple("object" for _ in range(arity)),
-                lambda *args: print(
-                    " ".join(repr(a) for a in args), file=out, flush=True
-                ),
-            )
+    register_print_procedures(server.amos, out)
     if script:
         AmosqlEngine(server.amos).execute(script)
     server.start()

@@ -24,9 +24,11 @@ an explicit epoch check: the worker replies with the sequence number
 it reached, and a worker whose reply is missing, late, or wrong (it
 died, or it somehow diverged) is **respawned in place** — a fresh fork
 of the leader's current memory — instead of silently propagating
-against stale state.  Sync application is idempotent under set
-semantics (minus before plus), so re-applying rows a worker already
-saw through waves is harmless.
+against stale state.  Backlog entries and waves are applied with
+:meth:`~repro.storage.database.Database.apply_committed` — the same
+function WAL recovery and the read replicas replay a commit through —
+which is idempotent, so re-applying rows a worker already saw through
+waves is harmless.
 
 Per check-loop iteration (a *wave*) the leader broadcasts one pickled
 payload — the iteration's merged Δ-map plus an ``apply`` flag — to
@@ -120,24 +122,6 @@ def _read_frame(fd: int, deadline: Optional[float] = None) -> bytes:
 # -- the worker side -------------------------------------------------------
 
 
-def _apply_delta_map(db, deltas: Dict[str, DeltaSet]) -> None:
-    """Apply a Δ-map to this worker's replica, physically.
-
-    Raw relation mutation on purpose: no undo log, no delta
-    accumulation, no listeners — the replica is disposable and only
-    ever read by propagation.  Minus before plus (forward application);
-    idempotent under set semantics, so re-applying rows the worker
-    already holds (a sync record overlapping an applied wave) is
-    harmless, merely wasted work.
-    """
-    for name, delta in deltas.items():
-        relation = db.relation(name)
-        for row in delta.minus:
-            relation.delete(row)
-        for row in delta.plus:
-            relation.insert(row)
-
-
 def _worker_main(engine, shard: int, seq: int, read_fd: int, write_fd: int) -> None:
     """The forked child's loop; never returns (``os._exit`` always).
 
@@ -161,7 +145,7 @@ def _worker_main(engine, shard: int, seq: int, read_fd: int, write_fd: int) -> N
                 _, records, target_seq = message
                 for record_seq, deltas in records:
                     if record_seq > seq:
-                        _apply_delta_map(engine.db, deltas)
+                        engine.db.apply_committed(deltas)
                 seq = max(seq, target_seq)
                 _write_frame(
                     write_fd,
@@ -177,7 +161,7 @@ def _worker_main(engine, shard: int, seq: int, read_fd: int, write_fd: int) -> N
                         # boundary exchange: other shards' Δ rows enter
                         # this replica here (a fresh fork already
                         # inherited its first wave and gets apply=False)
-                        _apply_delta_map(engine.db, wave)
+                        engine.db.apply_committed(wave)
                     partition = engine.partitioner.partition_map(wave, shard)
                     results = engine._propagator.run(
                         partition, trace=want_trace, old_deltas=wave

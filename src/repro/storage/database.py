@@ -458,6 +458,33 @@ class Database:
         }
         if versions == self._snapshot_versions:
             return self._snapshot  # nothing changed: keep the epoch stable
+        return self._publish(self._snapshot.epoch + 1, versions)
+
+    def restore_epoch(self, epoch: int) -> DatabaseSnapshot:
+        """Publish the current state under an *explicit* epoch.
+
+        The explicit-epoch arm of :meth:`publish_snapshot`, reached
+        through :meth:`apply_committed`: replaying a committed record
+        reproduces the exact epoch sequence the original process
+        published — including gaps left by rollback churn — so
+        epoch-pinned readers see the same numbering after a crash and
+        on a replica.  Only moves forward, and publishes even when no
+        relation changed (the original did).
+        """
+        if self._in_transaction:
+            raise TransactionError("restore_epoch inside a transaction")
+        if epoch <= self._snapshot.epoch:
+            raise SnapshotEpochError(
+                f"cannot restore epoch {epoch}: already at "
+                f"{self._snapshot.epoch} (epochs only move forward)"
+            )
+        return self._publish(
+            epoch,
+            {name: relation.version for name, relation in self._relations.items()},
+        )
+
+    def _publish(self, epoch: int, versions: Dict[str, int]) -> DatabaseSnapshot:
+        """The one publisher: freeze, swap the reference, extend the ring."""
         dirty = sum(
             1
             for relation in self._relations.values()
@@ -474,7 +501,7 @@ class Database:
                 name: relation.freeze()
                 for name, relation in self._relations.items()
             }
-            published = DatabaseSnapshot(self._snapshot.epoch + 1, tables)
+            published = DatabaseSnapshot(epoch, tables)
         finally:
             if span is not None:
                 tracer.finish(span)
@@ -492,32 +519,40 @@ class Database:
             reg.histogram("snapshot.dirty_relations").observe(dirty)
         return published
 
-    def restore_epoch(self, epoch: int) -> DatabaseSnapshot:
-        """Publish the current state under an *explicit* epoch (recovery).
+    def apply_committed(
+        self, deltas: Dict[str, DeltaSet], epoch: Optional[int] = None
+    ) -> int:
+        """Apply a committed transaction's net Δ-map; return rows applied.
 
-        WAL replay uses this to reproduce the exact epoch sequence the
-        original process published — including gaps left by rollback
-        churn — so epoch-pinned readers see the same numbering after a
-        crash.  Only moves forward; never use outside recovery.
+        The one writer beneath the transaction / rule machinery — no
+        undo log, no delta accumulation, no check phase, no listeners —
+        that WAL recovery, the replica apply loop and the shard workers
+        all replay a commit through (docs/DURABILITY.md, "Applying a
+        committed record").  Minus before plus; deltas are net state
+        differences, so plain set operations suffice and re-applying
+        rows already held is a no-op.  A relation the schema bootstrap
+        did not create is created from the rows' arity.  With ``epoch``
+        the resulting state is published at exactly that epoch (when it
+        is ahead of the current one).
         """
-        if self._in_transaction:
-            raise TransactionError("restore_epoch inside a transaction")
-        if epoch <= self._snapshot.epoch:
-            raise SnapshotEpochError(
-                f"cannot restore epoch {epoch}: already at "
-                f"{self._snapshot.epoch} (epochs only move forward)"
-            )
-        tables = {
-            name: relation.freeze() for name, relation in self._relations.items()
-        }
-        published = DatabaseSnapshot(epoch, tables)
-        self._snapshot_versions = {
-            name: relation.version for name, relation in self._relations.items()
-        }
-        self._snapshot = published
-        limit = max(1, int(self.snapshot_history))
-        self._snapshot_ring = (self._snapshot_ring + (published,))[-limit:]
-        return published
+        applied = 0
+        for name, delta in deltas.items():
+            relation = self._relations.get(name)
+            if relation is None:
+                rows = delta.plus or delta.minus
+                if not rows:
+                    continue
+                relation = self.create_relation(name, len(next(iter(rows))))
+            before = len(relation)
+            for row in delta.minus:
+                relation.delete(row)
+            kept = len(relation)
+            for row in delta.plus:
+                relation.insert(row)
+            applied += (before - kept) + (len(relation) - kept)
+        if epoch is not None and epoch > self._snapshot.epoch:
+            self.restore_epoch(epoch)
+        return applied
 
     # -- hooks ---------------------------------------------------------------------
 

@@ -43,7 +43,9 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.delta import DeltaSet
@@ -56,9 +58,9 @@ __all__ = [
     "WriteAheadLog",
     "WalTailer",
     "RecoveryReport",
+    "apply_record",
+    "replay",
     "recover",
-    "replay_catalog_record",
-    "replay_commit_record",
     "encode_frame",
     "iter_frames",
     "MAGIC",
@@ -328,8 +330,8 @@ class WriteAheadLog:
                     self._next_lsn = record.lsn + 1
                     report.records += 1
                     report.last_lsn = record.lsn
-                    if record.kind == "commit":
-                        report.last_epoch = record.epoch
+                    # only commit records carry an epoch
+                    report.last_epoch = record.data.get("epoch", report.last_epoch)
             except WalCorruptionError as error:
                 offset = getattr(error, "offset", None)
                 if not is_last or offset is None or not getattr(error, "torn", False):
@@ -748,7 +750,80 @@ def _frame_length(data: bytes, offset: int) -> int:
     return HEADER_SIZE + length
 
 
-# -- recovery ---------------------------------------------------------------------
+# -- applying and recovery --------------------------------------------------------
+
+
+def apply_record(amos, record: WalRecord) -> int:
+    """Apply one committed record to ``amos``; return the rows applied.
+
+    The one dispatch over record kinds (docs/DURABILITY.md, "Applying a
+    committed record"): crash recovery and the replica apply loop both
+    replay the log through here, so a replica converges to exactly the
+    state a post-crash recovery would.  Everything happens *beneath*
+    the rule machinery — no check phases run and no actions re-fire;
+    their effects are already part of the logged deltas.  Rule ops
+    leave the engine's baselines stale: the caller decides when to
+    ``amos.rules.resync_engine()``.
+    """
+    data = record.data
+    if record.kind == "commit":
+        deltas = record.deltas
+        # Δ⁻ rows too: the OID of an object deleted later must never
+        # be issued again, and no surviving row still carries it
+        amos.reserve_oids(
+            chain.from_iterable(
+                side for delta in deltas.values() for side in (delta.plus, delta.minus)
+            )
+        )
+        return amos.storage.apply_committed(deltas, record.epoch)
+    if record.kind == "catalog":
+        storage, name = amos.storage, data["relation"]
+        if data["op"] == "create":
+            if not storage.has_relation(name):
+                storage.create_relation(name, data["arity"], data.get("columns"))
+        elif storage.has_relation(name):
+            storage.drop_relation(name)
+    else:
+        # idempotent: only the net activation set matters — every
+        # action side effect is already inside the commit Δs
+        rules, name = amos.rules, data["rule"]
+        params = tuple(decode_value(p) for p in data.get("params", ()))
+        if data["op"] == "activate":
+            if not rules.is_active(name, params):
+                rules.activate(name, params)
+        elif rules.is_active(name, params):
+            rules.deactivate(name, params)
+    return 0
+
+
+def replay(wal: WriteAheadLog, amos) -> RecoveryReport:
+    """Replay every record of an open log into ``amos`` (no attach).
+
+    The body of :func:`recover`; the replica calls it directly because
+    it keeps the log open for verbatim appends instead of attaching it.
+    """
+    if getattr(amos, "wal", None) is not None:
+        raise WalError("database already has a write-ahead log attached")
+    if amos.storage.in_transaction:
+        raise WalError("cannot recover into a database mid-transaction")
+    # records / last lsn / last epoch / torn tail: the opening scan's
+    report = replace(wal.scan_report)
+    kinds: Dict[str, int] = Counter()
+    for record in wal.records():
+        kinds[record.kind] += 1
+        report.rows_applied += apply_record(amos, record)
+    report.commits = kinds["commit"]
+    report.rule_ops = kinds["rule"]
+    report.catalog_ops = kinds["catalog"]
+    # the engine's materialized baselines predate the replay
+    amos.rules.resync_engine()
+    amos.reserve_oids()
+    reg = metrics.ACTIVE
+    if reg is not None:
+        reg.counter("wal.recovered_records").inc(report.records)
+        reg.counter("wal.recovered_rows").inc(report.rows_applied)
+    wal.last_recovery = report
+    return report
 
 
 def recover(
@@ -756,7 +831,6 @@ def recover(
     amos=None,
     factory: Optional[Callable[[], object]] = None,
     attach: bool = True,
-    create_missing: bool = True,
     **wal_options,
 ):
     """Rebuild a database from its schema bootstrap plus the Δ-log.
@@ -767,77 +841,25 @@ def recover(
     the log holds data.  Recovery then:
 
     1. opens the log (truncating any torn tail record),
-    2. replays catalog records (storage-level relation create/drop),
-    3. replays every committed Δ-set *beneath* the rule machinery — no
-       check phases run and no actions re-fire; their effects are
-       already part of the logged deltas — restoring each record's
-       snapshot epoch on the way,
-    4. replays rule records so exactly the recorded monitor set is
-       active, then re-baselines the monitoring engine against the
-       recovered state,
-    5. advances the OID counter past every recovered OID, and
-    6. attaches the log to the database so new commits append after the
+    2. replays every record, in log order, through
+       :func:`apply_record` — each commit restoring its snapshot epoch
+       on the way — so exactly the recorded state and monitor set come
+       back,
+    3. re-baselines the monitoring engine against the recovered state,
+    4. advances the OID counter past every OID the log mentions, and
+    5. attaches the log to the database so new commits append after the
        replayed records (``attach=False`` for read-only inspection).
 
     Returns the recovered database; the report is available as
     ``amos.wal.last_recovery``.
     """
     from repro.amos.database import AmosDatabase
-    from repro.amos.oid import OID
 
     wal = WriteAheadLog(directory, **wal_options)
     try:
         if amos is None:
             amos = factory() if factory is not None else AmosDatabase()
-        if getattr(amos, "wal", None) is not None:
-            raise WalError("database already has a write-ahead log attached")
-        storage = amos.storage
-        if storage.in_transaction:
-            raise WalError("cannot recover into a database mid-transaction")
-        report = RecoveryReport(
-            truncated_bytes=wal.scan_report.truncated_bytes,
-            truncated_segment=wal.scan_report.truncated_segment,
-        )
-        rule_ops: List[Tuple[str, str, Tuple]] = []
-        for record in wal.records():
-            report.records += 1
-            report.last_lsn = record.lsn
-            if record.kind == "catalog":
-                report.catalog_ops += 1
-                _replay_catalog(storage, record)
-            elif record.kind == "commit":
-                report.commits += 1
-                report.rows_applied += _replay_commit(
-                    storage, record, create_missing
-                )
-                report.last_epoch = record.epoch
-            elif record.kind == "rule":
-                report.rule_ops += 1
-                params = tuple(
-                    decode_value(p) for p in record.data.get("params", ())
-                )
-                rule_ops.append((record.data["op"], record.data["rule"], params))
-        for op, rule_name, params in rule_ops:
-            # idempotent replay: only the net activation set matters —
-            # every action side effect is already inside the commit Δs
-            if op == "activate" and not amos.rules.is_active(rule_name, params):
-                amos.rules.activate(rule_name, params)
-            elif op == "deactivate" and amos.rules.is_active(rule_name, params):
-                amos.rules.deactivate(rule_name, params)
-        # the engine's materialized baselines predate the replay
-        amos.rules.resync_engine()
-        highest = 0
-        for name in storage.relation_names():
-            for row in storage.relation(name).rows():
-                for value in row:
-                    if isinstance(value, OID):
-                        highest = max(highest, value.id)
-        amos.advance_oid_counter(highest)
-        reg = metrics.ACTIVE
-        if reg is not None:
-            reg.counter("wal.recovered_records").inc(report.records)
-            reg.counter("wal.recovered_rows").inc(report.rows_applied)
-        wal.last_recovery = report
+        replay(wal, amos)
         if attach:
             amos.attach_wal(wal)
         else:
@@ -846,50 +868,3 @@ def recover(
     except BaseException:
         wal.close()
         raise
-
-
-def _replay_catalog(storage, record: WalRecord) -> None:
-    name = record.data["relation"]
-    if record.data["op"] == "create":
-        if not storage.has_relation(name):
-            storage.create_relation(
-                name, record.data["arity"], record.data.get("columns")
-            )
-    else:
-        if storage.has_relation(name):
-            storage.drop_relation(name)
-
-
-def _replay_commit(
-    storage, record: WalRecord, create_missing: bool = True
-) -> int:
-    applied = 0
-    for name, delta in sorted(record.deltas.items()):
-        if not storage.has_relation(name):
-            rows = list(delta.plus) + list(delta.minus)
-            if not rows:
-                continue
-            if not create_missing:
-                raise WalError(
-                    f"WAL record {record.lsn} touches unknown relation "
-                    f"{name!r}; recover with the schema bootstrap that "
-                    "created it (or create_missing=True)"
-                )
-            storage.create_relation(name, len(rows[0]))
-        relation = storage.relation(name)
-        # raw replay beneath the transaction/monitor machinery: deltas
-        # are net state differences, so plain set operations suffice
-        for row in sorted(delta.minus, key=repr):
-            applied += relation.delete(row)
-        for row in sorted(delta.plus, key=repr):
-            applied += relation.insert(row)
-    if record.epoch > storage.snapshot_epoch:
-        storage.restore_epoch(record.epoch)
-    return applied
-
-
-#: public aliases: the replication apply loop (repro.replication)
-#: replays records through the exact code path recovery uses, so a
-#: replica converges to the same state a post-crash recovery would
-replay_catalog_record = _replay_catalog
-replay_commit_record = _replay_commit

@@ -40,6 +40,8 @@ from tests.fault.harness import SHARD_FAULT_POINTS, FaultPoint, KillWorkerAt
 from repro.amosql.interpreter import AmosqlEngine
 from repro.errors import ShardWorkerError
 
+pytestmark = pytest.mark.fault
+
 EXCHANGE_POINTS = tuple(p for p in SHARD_FAULT_POINTS if p.startswith("exchange."))
 SYNC_POINTS = tuple(p for p in SHARD_FAULT_POINTS if p.startswith("sync."))
 

@@ -19,9 +19,11 @@ import time
 import pytest
 
 from repro.errors import RemoteError, ReplicationError
+from repro.obs import metrics
 from repro.server.client import AmosClient
 from repro.server.server import AmosServer
 from repro.replication import ReplicaServer
+from repro.storage.wal import WriteAheadLog
 
 from .conftest import bootstrap_factory
 
@@ -361,6 +363,35 @@ class TestStreamLifecycle:
             )
         finally:
             restarted.stop()
+
+    def test_restart_opens_the_copy_once_and_counts_recovery_once(
+        self, primary, tmp_path, monkeypatch
+    ):
+        replica = start_replica(primary, tmp_path)
+        with primary_client(primary) as client:
+            for quantity in (120, 130, 150):
+                client.execute(f"set quantity(:i0) = {quantity};")
+        converge(replica, primary)
+        replica.stop()
+
+        opened = []
+        original = WriteAheadLog.__init__
+
+        def counting(self, directory, *args, **kwargs):
+            opened.append(directory)
+            original(self, directory, *args, **kwargs)
+
+        monkeypatch.setattr(WriteAheadLog, "__init__", counting)
+        with metrics.collecting() as global_registry:
+            restarted = start_replica(primary, tmp_path)
+            restarted.stop()
+        # one WriteAheadLog on the copy: replayed, then kept for appends
+        assert opened == [str(tmp_path / "replica-wal")]
+        records = restarted.last_recovery.records
+        assert records >= 3
+        for name in ("wal.recovered_records", "replica.recovered_records"):
+            assert restarted.registry.counters()[name] == records
+            assert global_registry.counters()[name] == records
 
     def test_replica_survives_primary_restart(self, tmp_path):
         from .conftest import make_workload

@@ -25,6 +25,8 @@ from tests.fault.harness import FaultPoint, InjectedCrash
 from .conftest import bootstrap_factory
 from .test_replica import converge
 
+pytestmark = pytest.mark.fault
+
 
 def commit_quantities(primary, quantities):
     with AmosClient(*primary.address) as client:

@@ -344,7 +344,7 @@ class TestEngineSelection:
         with pytest.raises(RuleError, match="positive integer"):
             make_db(shards=shards)
 
-    def test_removed_hybrid_options_raise(self):
+    def test_removed_hybrid_options_raise(self, tmp_path):
         with pytest.raises(RuleError, match="unknown monitoring mode"):
             make_db(mode="hybrid")
         with pytest.raises(TypeError):
@@ -353,6 +353,8 @@ class TestEngineSelection:
             AmosDatabase(mode="hybrid")
         with pytest.raises(TypeError):
             AmosDatabase(hybrid_switch_ratio=0.2)
+        with pytest.raises(TypeError):  # recover(create_missing=), PR 19
+            AmosDatabase().open_wal(str(tmp_path), create_missing=False)
 
 
 class TestActivationObject:

@@ -12,6 +12,7 @@ recovered database answers queries identically.
 import pytest
 
 from repro.bench.workload import build_inventory
+from repro.obs import metrics
 from repro.server import AmosClient, AmosServer
 
 SEED = 21
@@ -134,6 +135,25 @@ class TestServerDurability:
             assert last.group == {"members": n, "applied": n}
         finally:
             restarted.stop()
+
+    def test_recovered_records_are_counted_once_per_registry(self, tmp_path):
+        # recover() counts into the global registry and start() into the
+        # server's own (which tees into the global): once each, not 2x
+        first = fresh_workload()
+        server = start_server(first, tmp_path)
+        with AmosClient(*server.address) as client:
+            client.bind("i0", first.items[0])
+            for quantity in (120, 450, 130):
+                client.execute(f"set quantity(:i0) = {quantity};")
+        server.stop()
+
+        with metrics.collecting() as global_registry:
+            restarted = start_server(fresh_workload(), tmp_path)
+            restarted.stop()
+        records = restarted.last_recovery.records
+        assert records >= 3
+        assert restarted.registry.counters()["wal.recovered_records"] == records
+        assert global_registry.counters()["wal.recovered_records"] == records
 
     def test_wal_server_refuses_a_corrupt_log(self, tmp_path):
         from repro.errors import WalCorruptionError

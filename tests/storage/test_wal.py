@@ -242,6 +242,23 @@ class TestDatabaseWiring:
         assert fresh.id > max(item.id for item in items)
         restored.detach_wal()
 
+    def test_oid_of_a_deleted_object_is_not_reissued(self, tmp_path):
+        # the deleted object leaves no row behind: the high-water mark
+        # must come from the Δ rows the replay touches, not a final scan
+        amos = walled(tmp_path)
+        amos.create_object("item")
+        doomed = amos.create_object("item")
+        amos.delete_object(doomed)
+        uninterrupted = amos.create_object("item")
+        amos.delete_object(uninterrupted)
+        amos.detach_wal()
+
+        restored = make_amos()
+        restored.open_wal(str(tmp_path))
+        fresh = restored.create_object("item")
+        assert fresh.id > uninterrupted.id > doomed.id
+        restored.detach_wal()
+
     def test_double_attach_is_rejected(self, tmp_path):
         amos = walled(tmp_path)
         with pytest.raises(Exception, match="already attached"):
