@@ -4,6 +4,7 @@ from repro.algebra.delta import (
     EMPTY_DELTA,
     DeltaSet,
     MutableDelta,
+    RowSet,
     apply_delta,
     delta_union,
     delta_union_all,
@@ -29,12 +30,13 @@ from repro.algebra.expression import (
     Select,
     Union,
 )
-from repro.algebra.oldstate import NewStateView, OldStateView, StateView
+from repro.algebra.oldstate import NewStateView, OldStateView, RolledBack, StateView
 
 __all__ = [
     "EMPTY_DELTA",
     "DeltaSet",
     "MutableDelta",
+    "RowSet",
     "apply_delta",
     "delta_union",
     "delta_union_all",
@@ -57,5 +59,6 @@ __all__ = [
     "Union",
     "NewStateView",
     "OldStateView",
+    "RolledBack",
     "StateView",
 ]

@@ -16,8 +16,10 @@ defines the operator (section 4.1)::
     dB1 UNION_d dB2 = < (d+B1 - d-B2) | (d+B2 - d-B1),
                         (d-B1 - d+B2) | (d-B2 - d+B1) >
 
-Two classes are provided:
+Three classes are provided:
 
+* :class:`RowSet` — an immutable set of rows that indexes itself; a
+  frozen relation (snapshot table) and a delta-set side are both one.
 * :class:`DeltaSet` — immutable value object used throughout the
   differencing calculus and in query results.
 * :class:`MutableDelta` — an accumulator used by the transaction layer
@@ -27,14 +29,62 @@ Two classes are provided:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Sequence, Tuple
 
 from repro.errors import DeltaError
+from repro.obs import metrics
 
 Row = Tuple
 Rows = FrozenSet[Row]
 
-_EMPTY: Rows = frozenset()
+
+class RowSet:
+    """An immutable set of rows read like a relation: ``rows()``,
+    ``row in r``, ``len(r)``, ``prober(columns)``.
+
+    Key indexes are built on first probe of a column set and live and
+    die with the object, so nothing is ever invalidated.  Concurrent
+    builders race benignly: both compute the same index and the last
+    assignment wins.  ``counter`` names the metrics counter a build
+    increments.
+    """
+
+    __slots__ = ("_rows", "_probers", "_counter")
+
+    def __init__(
+        self, rows: Iterable[Row] = (), counter: str = "rowset.indexes_built"
+    ) -> None:
+        self._rows: Rows = rows if type(rows) is frozenset else frozenset(rows)
+        self._probers: Dict[Tuple[int, ...], Callable] = {}
+        self._counter = counter
+
+    def rows(self) -> Rows:
+        return self._rows
+
+    def __contains__(self, row: Row) -> bool:
+        return row in self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def prober(self, columns: Sequence[int]) -> Callable:
+        """A ``key -> rows`` callable over the rows grouped by ``columns``."""
+        cols = tuple(columns)
+        probe = self._probers.get(cols)
+        if probe is None:
+            index: Dict[Tuple, list] = {}
+            for row in self._rows:
+                index.setdefault(tuple(row[c] for c in cols), []).append(row)
+            probe = self._probers[cols] = (
+                lambda key, _get=index.get, _none=(): _get(key, _none)
+            )
+            reg = metrics.ACTIVE
+            if reg is not None:
+                reg.counter(self._counter).inc()
+        return probe
+
+    def __repr__(self) -> str:
+        return f"RowSet(rows={len(self._rows)}, indexed={sorted(self._probers)!r})"
 
 
 class DeltaSet:
@@ -48,7 +98,7 @@ class DeltaSet:
         Tuples deleted (``delta-minus``).
     """
 
-    __slots__ = ("plus", "minus")
+    __slots__ = ("plus", "minus", "_plus_side", "_minus_side")
 
     def __init__(self, plus: Iterable[Row] = (), minus: Iterable[Row] = ()) -> None:
         plus_set = frozenset(plus)
@@ -69,6 +119,21 @@ class DeltaSet:
         # restore; rebuild through __init__ instead (shard workers ship
         # delta-sets across process pipes)
         return (DeltaSet, (self.plus, self.minus))
+
+    def side(self, sign: str) -> RowSet:
+        """The plus (``"+"``) or minus side as a relation (section 4.1:
+        a delta-set is a pair of ordinary relations), built on first
+        use — a delta literal is then a read like any other."""
+        slot = "_plus_side" if sign == "+" else "_minus_side"
+        side = getattr(self, slot, None)
+        if side is None:
+            # counted under the name the per-layer benchmark reads
+            side = RowSet(
+                self.plus if sign == "+" else self.minus,
+                "evaluate.delta_indexes_built",
+            )
+            object.__setattr__(self, slot, side)
+        return side
 
     # -- algebra ----------------------------------------------------------
 

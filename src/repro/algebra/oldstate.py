@@ -9,16 +9,17 @@ materialized; it is reconstructed on demand by a *logical rollback*::
 
     S_old = (S_new | delta_minus(S)) - delta_plus(S)
 
-:class:`NewStateView` reads relations directly (index-accelerated);
-:class:`OldStateView` wraps the same database plus a snapshot of the
-per-relation delta-sets and answers scans, membership tests, and keyed
-lookups *as of the old state* — also index-accelerated, because an old
-lookup is a new lookup patched with the (tiny) delta.
+A relation in a state is one object with one read interface —
+``rows()``, ``row in r``, ``len(r)``, ``prober(columns)`` — and three
+implementations: the live :class:`~repro.storage.relation.BaseRelation`,
+the frozen :class:`~repro.algebra.delta.RowSet`, and
+:class:`RolledBack`, the formula above over either.  A
+:class:`StateView` only resolves names to such objects.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.delta import DeltaSet, rollback_delta
 
@@ -27,7 +28,54 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 
 Row = Tuple
 
-_EMPTY_DELTA = DeltaSet()
+
+class RolledBack:
+    """``relation`` as it was before ``delta``: ``(S_new | minus) - plus``.
+
+    Nothing is materialized for membership tests and keyed probes — a
+    probe of the old state is a probe of the new one patched with the
+    (tiny) delta, the deleted rows grouped by key in the delta's own
+    minus side, so it stays O(probe) even when the transaction deleted
+    many tuples (Fig. 7's massive-update case).  Probers read the live
+    relation, so resolve them per use, not across transactions.
+    """
+
+    __slots__ = ("_new", "_delta", "_rows")
+
+    def __init__(self, relation, delta: DeltaSet) -> None:
+        self._new = relation
+        self._delta = delta
+        self._rows: Optional[FrozenSet[Row]] = None
+
+    def rows(self) -> FrozenSet[Row]:
+        if self._rows is None:
+            self._rows = rollback_delta(self._new.rows(), self._delta)
+        return self._rows
+
+    def __contains__(self, row: Row) -> bool:
+        delta = self._delta
+        if row in delta.plus:
+            return False
+        return row in delta.minus or row in self._new
+
+    def __len__(self) -> int:
+        return len(self.rows())
+
+    def prober(self, columns: Sequence[int]):
+        current = self._new.prober(columns)
+        restored = self._delta.side("-").prober(columns)
+        plus = self._delta.plus
+
+        def probe(key):
+            rows = current(key)
+            back = restored(key)
+            if back:
+                return frozenset(rows).union(back) - plus
+            if plus and not plus.isdisjoint(rows):
+                return frozenset(rows) - plus
+            return rows
+
+        return probe
 
 
 class StateView:
@@ -36,24 +84,26 @@ class StateView:
     #: Which state this view exposes: ``"new"`` or ``"old"``.
     state: str = "new"
 
-    def rows(self, name: str) -> FrozenSet[Row]:
+    def relation(self, name: str):
+        """The relation ``name`` as it is in this state."""
         raise NotImplementedError
+
+    def rows(self, name: str) -> FrozenSet[Row]:
+        return self.relation(name).rows()
 
     def contains(self, name: str, row: Row) -> bool:
-        raise NotImplementedError
-
-    def lookup(self, name: str, columns: Sequence[int], key: Sequence) -> FrozenSet[Row]:
-        raise NotImplementedError
+        return tuple(row) in self.relation(name)
 
     def prober(self, name: str, columns: Sequence[int]):
         """A ``key -> rows`` callable with relation/index resolution
         hoisted out of the per-key loop (used by batched plans, which
         probe the same (relation, columns) once per pending binding)."""
-        cols = tuple(columns)
-        return lambda key: self.lookup(name, cols, key)
+        return self.relation(name).prober(columns)
 
-    def cardinality(self, name: str) -> int:
-        return len(self.rows(name))
+    def lookup(self, name: str, columns: Sequence[int], key: Sequence) -> FrozenSet[Row]:
+        # copied: a prober may hand out a live index bucket, and
+        # interpretive callers iterate lookups lazily
+        return frozenset(self.prober(name, columns)(tuple(key)))
 
 
 class NewStateView(StateView):
@@ -61,36 +111,10 @@ class NewStateView(StateView):
 
     state = "new"
 
-    __slots__ = ("_db",)
-
     def __init__(self, db: "Database") -> None:
-        self._db = db
-
-    def rows(self, name: str) -> FrozenSet[Row]:
-        return self._db.relation(name).rows()
-
-    def contains(self, name: str, row: Row) -> bool:
-        return tuple(row) in self._db.relation(name)
-
-    def lookup(self, name: str, columns: Sequence[int], key: Sequence) -> FrozenSet[Row]:
-        # copied: the unmetered prober hands out the live index bucket,
-        # and interpretive callers iterate lookups lazily
-        return frozenset(self.prober(name, columns)(tuple(key)))
-
-    def prober(self, name: str, columns: Sequence[int]):
-        return self._db.relation(name).prober(columns, auto=True)
-
-    def trie(self, name: str, order: Sequence[int]):
-        """The relation's trie index over ``order`` (WCOJ kernels).
-
-        Only the new state serves tries: they mirror the live stored
-        relations, maintained eagerly from every insert/delete — the
-        old state would need them patched by the rollback delta.
-        """
-        return self._db.relation(name).trie_index(order, auto=True)
-
-    def cardinality(self, name: str) -> int:
-        return len(self._db.relation(name))
+        # the resolver IS the catalog's: bound here so a plan step's
+        # per-execution resolution adds no frame of ours
+        self.relation = db.relation
 
 
 class OldStateView(StateView):
@@ -103,80 +127,25 @@ class OldStateView(StateView):
 
     state = "old"
 
-    __slots__ = ("_new", "_deltas", "_cache", "_minus_index")
-
     def __init__(self, db: "Database", deltas: Mapping[str, DeltaSet]) -> None:
-        self._new = NewStateView(db)
+        self._db = db
         self._deltas = dict(deltas)
-        self._cache: Dict[str, FrozenSet[Row]] = {}
-        # per (relation, columns): deleted rows grouped by key, so keyed
-        # lookups stay O(probe) even when the transaction deleted many
-        # tuples (Fig. 7's massive-update case)
-        self._minus_index: Dict[tuple, Dict[tuple, list]] = {}
+        self._rolled: Dict[str, RolledBack] = {}
 
     def reset(self, deltas: Mapping[str, DeltaSet]) -> None:
         """Re-point this view at a new transaction's delta snapshot,
         dropping everything derived from the previous one (lets a
         propagator reuse one view object per run)."""
         self._deltas = dict(deltas)
-        self._cache.clear()
-        self._minus_index.clear()
+        self._rolled.clear()
 
-    def delta_of(self, name: str) -> DeltaSet:
-        return self._deltas.get(name, _EMPTY_DELTA)
-
-    def rows(self, name: str) -> FrozenSet[Row]:
-        delta = self._deltas.get(name)
-        if delta is None or delta.empty:
-            return self._new.rows(name)
-        cached = self._cache.get(name)
-        if cached is None:
-            cached = rollback_delta(self._new.rows(name), delta)
-            self._cache[name] = cached
-        return cached
-
-    def contains(self, name: str, row: Row) -> bool:
-        row = tuple(row)
-        delta = self._deltas.get(name)
-        if delta is None or delta.empty:
-            return self._new.contains(name, row)
-        if row in delta.plus:
-            return False
-        if row in delta.minus:
-            return True
-        return self._new.contains(name, row)
-
-    def lookup(self, name: str, columns: Sequence[int], key: Sequence) -> FrozenSet[Row]:
-        delta = self._deltas.get(name)
-        current = self._new.lookup(name, columns, key)
-        if delta is None or delta.empty:
-            return current
-        key = tuple(key)
-        cols = tuple(columns)
-        index_key = (name, cols)
-        index = self._minus_index.get(index_key)
-        if index is None:
-            index = {}
-            for row in delta.minus:
-                index.setdefault(tuple(row[c] for c in cols), []).append(row)
-            self._minus_index[index_key] = index
-        restored = index.get(key)
-        if restored:
-            return (current | frozenset(restored)) - delta.plus
-        if delta.plus & current:
-            return current - delta.plus
-        return current
-
-    def prober(self, name: str, columns: Sequence[int]):
-        delta = self._deltas.get(name)
-        if delta is None or delta.empty:
-            # unchanged relation: the old state IS the new state
-            return self._new.prober(name, columns)
-        cols = tuple(columns)
-        return lambda key: self.lookup(name, cols, key)
-
-    def cardinality(self, name: str) -> int:
-        delta = self._deltas.get(name)
-        if delta is None or delta.empty:
-            return self._new.cardinality(name)
-        return len(self.rows(name))
+    def relation(self, name: str):
+        rolled = self._rolled.get(name)
+        if rolled is None:
+            live = self._db.relation(name)
+            delta = self._deltas.get(name)
+            if not delta:
+                # unchanged relation: the old state IS the new state
+                return live
+            rolled = self._rolled[name] = RolledBack(live, delta)
+        return rolled

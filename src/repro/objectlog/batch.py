@@ -19,9 +19,9 @@ A :class:`ClausePlan` removes that overhead:
 * each step maps a **batch of environments** (plain register lists) to
   the next batch, so one pass over a literal extends every pending
   binding — the recursive generator stack disappears from the hot loop;
-* delta-set reads probe a per-run key index
-  (:meth:`~repro.objectlog.evaluate.Evaluator.delta_index`) instead of
-  scanning the whole plus/minus side;
+* a delta-set read is a relation read: the plus/minus side indexes
+  itself (:meth:`~repro.algebra.delta.DeltaSet.side`), so keyed delta
+  probes do not scan the whole side;
 * derived sub-predicates are still answered by the
   :class:`~repro.objectlog.evaluate.Evaluator` passed at run time, so
   its memo table is shared with every other plan executed in the same
@@ -231,45 +231,10 @@ def _compare_step(literal: Comparison, slot_of, bound: Set[int]) -> Step:
     return step
 
 
-def _delta_step(literal: PredLiteral, slot_of, bound: Set[int]) -> Step:
-    pred, sign = literal.pred, literal.delta
-    cols, parts = _key_spec(literal.args, slot_of, bound)
-    bind, bind_into, new_slots = _make_binder(
-        literal.args, slot_of, bound, set(cols)
-    )
-    bound.update(new_slots)
-    if cols:
-        key_of = _make_key(parts)
-
-        def step(evaluator, batch):
-            index = evaluator.delta_index(pred, sign, cols)
-            out: List[Regs] = []
-            append = out.append
-            for regs in batch:
-                rows = index.get(key_of(regs))
-                if rows is None:
-                    continue
-                if len(rows) == 1:
-                    if bind_into(regs, rows[0]):
-                        append(regs)
-                else:
-                    for row in rows:
-                        bind(regs, row, append)
-            return out
-    else:
-        def step(evaluator, batch):
-            rows = evaluator.delta_rows(pred, sign)
-            out: List[Regs] = []
-            append = out.append
-            for regs in batch:
-                for row in rows:
-                    bind(regs, row, append)
-            return out
-    return step
-
-
 def _base_step(literal: PredLiteral, slot_of, bound: Set[int]) -> Step:
-    pred = literal.pred
+    """A read of a stored relation or, for a delta literal, of one side
+    of the influent's delta-set — the evaluator resolves which."""
+    pred, sign = literal.pred, literal.delta
     cols, parts = _key_spec(literal.args, slot_of, bound)
     bind, bind_into, new_slots = _make_binder(
         literal.args, slot_of, bound, set(cols)
@@ -281,7 +246,7 @@ def _base_step(literal: PredLiteral, slot_of, bound: Set[int]) -> Step:
         def step(evaluator, batch):
             # resolved per execution: the relation caches its probers
             # and drops them when it evicts the index behind them
-            probe = evaluator.view.prober(pred, cols)
+            probe = evaluator.prober_of(pred, sign, cols)
             out: List[Regs] = []
             append = out.append
             for regs in batch:
@@ -298,7 +263,7 @@ def _base_step(literal: PredLiteral, slot_of, bound: Set[int]) -> Step:
             return out
     else:
         def step(evaluator, batch):
-            rows = evaluator.view.rows(pred)
+            rows = evaluator.rows_of(pred, sign)
             out: List[Regs] = []
             append = out.append
             for regs in batch:
@@ -676,7 +641,7 @@ def _compile_literal(
     if not isinstance(literal, PredLiteral):
         raise ObjectLogError(f"unknown literal type {type(literal).__name__}")
     if literal.delta is not None:
-        return _delta_step(literal, slot_of, bound)
+        return _base_step(literal, slot_of, bound)
     definition = program.predicate(literal.pred)
     if literal.negated:
         return _negation_step(literal, definition, slot_of, bound)

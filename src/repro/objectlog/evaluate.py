@@ -31,7 +31,7 @@ from typing import (
     Tuple,
 )
 
-from repro.algebra.delta import DeltaSet
+from repro.algebra.delta import EMPTY_DELTA, DeltaSet
 from repro.algebra.oldstate import StateView
 from repro.errors import (
     ObjectLogError,
@@ -52,7 +52,6 @@ from repro.objectlog.terms import Env, Variable, bind_row, eval_expr, fresh_vari
 from repro.obs import metrics
 
 Row = Tuple
-_EMPTY_DELTA = DeltaSet()
 
 
 class Evaluator:
@@ -100,73 +99,39 @@ class Evaluator:
         #: interpretive fallback is taken without retrying compilation
         #: per probe
         self._derived_plans: Dict[Tuple, Tuple[List, int, Optional[List]]] = {}
-        #: per-delta key indexes: (pred, sign, columns) -> {key: [rows]}
-        self._delta_indexes: Dict[Tuple, Dict[Tuple, List[Row]]] = {}
 
     def reset(self) -> None:
-        """Forget all state tied to one database snapshot: memoized
-        derived extensions and delta indexes (compiled plans survive;
+        """Forget all state tied to one database snapshot: the deltas
+        and the memoized derived extensions (compiled plans survive;
         probes are resolved through the view per step execution).  Lets
         a propagator keep one evaluator per state across runs instead
         of allocating fresh ones every transaction."""
         self.deltas = {}
         if self._memo:
             self._memo.clear()
-        if self._delta_indexes:
-            self._delta_indexes.clear()
-
-    def set_deltas(self, deltas: Optional[Mapping[str, DeltaSet]]) -> None:
-        """Swap the delta-sets this evaluator reads for delta literals.
-
-        Used by the propagation algorithm to share ONE evaluator (and
-        its derived-predicate memo — program clauses never contain
-        delta literals, so memoized extensions stay valid) across all
-        edges of a run while each edge supplies its own influent delta.
-        """
-        self.deltas = dict(deltas or {})
-        if self._delta_indexes:
-            self._delta_indexes.clear()
 
     def set_delta(self, pred: str, delta: DeltaSet) -> None:
-        """Point this evaluator at exactly one influent's delta-set.
-
-        The propagation loop calls this once per edge; when consecutive
-        edges of the same node share the identical delta object the call
-        is a no-op, keeping the per-delta key indexes warm.
-        """
-        deltas = self.deltas
-        if len(deltas) == 1 and deltas.get(pred) is delta:
-            return
+        """Point this evaluator at exactly one influent's delta-set
+        (the propagation loop calls this once per edge; the
+        derived-predicate memo stays valid — program clauses never
+        contain delta literals)."""
         self.deltas = {pred: delta}
-        if self._delta_indexes:
-            self._delta_indexes.clear()
 
-    def delta_rows(self, pred: str, sign: str) -> FrozenSet[Row]:
-        """One side of a predicate's delta-set (empty when absent)."""
-        delta = self.deltas.get(pred, _EMPTY_DELTA)
+    def rows_of(self, pred: str, sign: Optional[str] = None) -> FrozenSet[Row]:
+        """All rows a literal over ``pred`` reads: the relation in this
+        evaluator's state or — for a delta literal — one side of the
+        influent's delta-set."""
+        if sign is None:
+            return self.view.relation(pred).rows()
+        delta = self.deltas.get(pred, EMPTY_DELTA)
         return delta.plus if sign == "+" else delta.minus
 
-    def delta_index(
-        self, pred: str, sign: str, columns: Tuple[int, ...]
-    ) -> Dict[Tuple, List[Row]]:
-        """A per-run key index over one side of a delta-set.
-
-        Built lazily per distinct bound-column combination and cached
-        until :meth:`set_deltas` swaps the deltas, so repeated probes
-        against the same (tiny, but possibly large under Fig. 7's
-        massive updates) delta-set stay O(probe) instead of O(delta).
-        """
-        cache_key = (pred, sign, columns)
-        index = self._delta_indexes.get(cache_key)
-        if index is None:
-            index = {}
-            for row in self.delta_rows(pred, sign):
-                index.setdefault(tuple(row[c] for c in columns), []).append(row)
-            self._delta_indexes[cache_key] = index
-            reg = metrics.ACTIVE
-            if reg is not None:
-                reg.counter("evaluate.delta_indexes_built").inc()
-        return index
+    def prober_of(self, pred: str, sign: Optional[str], columns: Tuple[int, ...]):
+        """The ``key -> rows`` probe of the same source (a delta side
+        is a relation that indexes itself: :meth:`DeltaSet.side`)."""
+        if sign is None:
+            return self.view.relation(pred).prober(columns)
+        return self.deltas.get(pred, EMPTY_DELTA).side(sign).prober(columns)
 
     # -- public API ---------------------------------------------------------------
 
@@ -349,11 +314,9 @@ class Evaluator:
                 return
             yield env
             return
-        if literal.delta is not None:
-            yield from self._eval_delta(literal, env)
-            return
         definition = self.program.predicate(literal.pred)
-        if isinstance(definition, BasePredicate):
+        if literal.delta is not None or isinstance(definition, BasePredicate):
+            # a delta-set side is a relation like any other
             yield from self._eval_base(literal, env)
         elif isinstance(definition, ForeignPredicate):
             yield from self._eval_foreign(definition, literal, env)
@@ -376,9 +339,12 @@ class Evaluator:
                 bound_cols.append(position)
                 key.append(arg)
         if bound_cols:
-            rows = self.view.lookup(literal.pred, tuple(bound_cols), tuple(key))
+            probe = self.prober_of(literal.pred, literal.delta, tuple(bound_cols))
+            # copied: a prober may hand out a live index bucket, and
+            # this generator is consumed lazily
+            rows = tuple(probe(tuple(key)))
         else:
-            rows = self.view.rows(literal.pred)
+            rows = self.rows_of(literal.pred, literal.delta)
         reg = metrics.ACTIVE
         if reg is None:
             for row in rows:
@@ -386,48 +352,13 @@ class Evaluator:
                 if extended is not None:
                     yield extended
             return
-        reg.counter(
-            "evaluate.base_lookups" if bound_cols else "evaluate.base_scans"
-        ).inc()
-        extensions = reg.counter("evaluate.env_extensions")
-        for row in rows:
-            extended = bind_row(literal.args, row, env)
-            if extended is not None:
-                extensions.inc()
-                yield extended
-
-    #: delta-set sides below this size are scanned; at or above it a
-    #: keyed probe through :meth:`delta_index` wins (Fig. 7 workloads)
-    DELTA_INDEX_THRESHOLD = 8
-
-    def _eval_delta(self, literal: PredLiteral, env: Env) -> Iterator[Env]:
-        delta = self.deltas.get(literal.pred, _EMPTY_DELTA)
-        rows = delta.plus if literal.delta == "+" else delta.minus
-        if len(rows) >= self.DELTA_INDEX_THRESHOLD:
-            bound_cols: List[int] = []
-            key: List = []
-            for position, arg in enumerate(literal.args):
-                if isinstance(arg, Variable):
-                    if arg in env:
-                        bound_cols.append(position)
-                        key.append(env[arg])
-                else:
-                    bound_cols.append(position)
-                    key.append(arg)
-            if bound_cols:
-                index = self.delta_index(
-                    literal.pred, literal.delta, tuple(bound_cols)
-                )
-                rows = index.get(tuple(key), ())
-        reg = metrics.ACTIVE
-        if reg is None:
-            for row in rows:
-                extended = bind_row(literal.args, row, env)
-                if extended is not None:
-                    yield extended
-            return
-        reg.counter("evaluate.delta_reads").inc()
-        reg.counter("evaluate.delta_rows").inc(len(rows))
+        if literal.delta is not None:
+            reg.counter("evaluate.delta_reads").inc()
+            reg.counter("evaluate.delta_rows").inc(len(rows))
+        else:
+            reg.counter(
+                "evaluate.base_lookups" if bound_cols else "evaluate.base_scans"
+            ).inc()
         extensions = reg.counter("evaluate.env_extensions")
         for row in rows:
             extended = bind_row(literal.args, row, env)

@@ -219,8 +219,11 @@ def compile_wcoj_step(
     last_level = n_levels - 1
 
     def step(evaluator, batch):
-        view = evaluator.view
-        roots = [view.trie(pred, order).root for pred, order, _ in specs]
+        relation = evaluator.view.relation
+        roots = [
+            relation(pred).trie_index(order, auto=True).root
+            for pred, order, _ in specs
+        ]
         out: List[List] = []
         append = out.append
 

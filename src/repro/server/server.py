@@ -245,6 +245,10 @@ class AmosServer:
                 daemon=True,
             )
             handler.start()
+            # prune finished handlers as new ones arrive, so the list —
+            # and what stop() has to join — stays bounded by the live
+            # connections (in place: stop() iterates a copy)
+            self._threads[:] = [t for t in self._threads if t.is_alive()]
             self._threads.append(handler)
 
     def _reap_loop(self) -> None:

@@ -531,9 +531,12 @@ class Database:
         committed record").  Minus before plus; deltas are net state
         differences, so plain set operations suffice and re-applying
         rows already held is a no-op.  A relation the schema bootstrap
-        did not create is created from the rows' arity.  With ``epoch``
-        the resulting state is published at exactly that epoch (when it
-        is ahead of the current one).
+        did not create is created from the rows' arity — without the
+        publication ``auto_publish`` would add, which would show
+        lock-free readers the relation empty at an epoch the original
+        never had.  With ``epoch`` the resulting state is published
+        once, after the rows, at exactly that epoch (when it is ahead
+        of the current one).
         """
         applied = 0
         for name, delta in deltas.items():
@@ -542,7 +545,11 @@ class Database:
                 rows = delta.plus or delta.minus
                 if not rows:
                     continue
-                relation = self.create_relation(name, len(next(iter(rows))))
+                # not create_relation(): it would auto-publish here
+                relation = BaseRelation(name, len(next(iter(rows))))
+                self._relations[name] = relation
+                for listener in self._catalog_listeners:
+                    listener("create", relation)
             before = len(relation)
             for row in delta.minus:
                 relation.delete(row)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
+from repro.algebra.delta import RowSet
 from repro.errors import ArityError, SchemaError
 from repro.obs import metrics
 from repro.storage.index import HashIndex
@@ -93,9 +94,9 @@ class BaseRelation:
         self._tries: Dict[Tuple[int, ...], object] = {}
         #: auto-created trie orders in least-recently-used-first order
         self._auto_tries: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
-        #: copy-on-write cache: the frozenset handed to snapshots; None
+        #: copy-on-write cache: the table handed to snapshots; None
         #: while the relation has changed since it was last frozen
-        self._frozen: Optional[FrozenSet[Row]] = frozenset()
+        self._frozen: Optional[RowSet] = RowSet()
         #: bumped on every physical change (snapshot staleness checks)
         self.version = 0
 
@@ -245,25 +246,26 @@ class BaseRelation:
             self._auto_indexes.move_to_end(key)
         return index
 
-    def prober(self, columns: Sequence[int], auto: bool = False):
+    def prober(self, columns: Sequence[int]):
         """A ``key -> rows`` callable with index resolution done once.
 
-        ``auto=True`` additionally creates a budgeted auto index once
-        the relation has more than 8 rows — the on-demand indexing
-        policy; keyed lookups of the new-state view and compiled plan
-        steps both resolve through here, and a scan prober handed out
-        below the threshold is not cached, so the next resolution sees
-        the growth.  With no metrics registry installed the prober
-        reads index buckets directly (cached per column set until the
-        index is evicted); with one installed it goes through
-        :meth:`HashIndex.probe` so probe accounting stays exact.
+        Creates a budgeted auto index once the relation has more than
+        8 rows — the on-demand indexing policy (small sets are
+        scanned, larger ones indexed); keyed lookups of the state
+        views and compiled plan steps both resolve through here, and a
+        scan prober handed out below the threshold is not cached, so
+        the next resolution sees the growth.  With no metrics registry
+        installed the prober reads index buckets directly (cached per
+        column set until the index is evicted); with one installed it
+        goes through :meth:`HashIndex.probe` so probe accounting stays
+        exact.
         """
         cols = tuple(columns)
         fn = self._probers.get(cols)
         if fn is not None and metrics.ACTIVE is None:
             return fn
         index = self._indexes.get(cols)
-        if index is None and auto and len(self._rows) > 8:
+        if index is None and len(self._rows) > 8:
             index = self.create_index(cols, auto=True)
         if index is not None:
             if cols in self._auto_indexes:
@@ -297,20 +299,21 @@ class BaseRelation:
         if reg is not None:
             reg.counter("relation.snapshots").inc()
             reg.counter("relation.rows_touched").inc(len(self._rows))
-        return self.freeze()
+        return self.freeze().rows()
 
-    def freeze(self) -> FrozenSet[Row]:
-        """The current content as a cached, immutable frozenset.
+    def freeze(self) -> RowSet:
+        """The current content as a cached, immutable :class:`RowSet`.
 
-        Copy-on-write: the frozenset is rebuilt only after a physical
+        Copy-on-write: the table is rebuilt only after a physical
         change invalidated it, so consecutive snapshots of an unchanged
-        relation share one object — this is what makes publishing a
-        whole-database snapshot (:meth:`Database.publish_snapshot`)
-        O(changed relations), not O(database).
+        relation share one object, rows and the indexes readers built
+        on it — this is what makes publishing a whole-database snapshot
+        (:meth:`Database.publish_snapshot`) O(changed relations), not
+        O(database).
         """
         frozen = self._frozen
         if frozen is None:
-            frozen = self._frozen = frozenset(self._rows)
+            frozen = self._frozen = RowSet(self._rows)
         return frozen
 
     @property

@@ -2,31 +2,30 @@
 
 A :class:`DatabaseSnapshot` is the unit of the snapshot-read protocol:
 the committed state of every base relation, captured as copy-on-write
-frozensets (:meth:`BaseRelation.freeze`) and tagged with a monotone
-*commit epoch*.  Publication happens on the writer's side — at the end
-of a commit, a rollback, or a catalog change — so a snapshot never
-contains uncommitted or torn transaction state.  Reading one requires
-no lock at all: the snapshot object is immutable, and picking up the
-latest published snapshot is a single reference read.
+:class:`~repro.algebra.delta.RowSet` tables (:meth:`BaseRelation.freeze`)
+and tagged with a monotone *commit epoch*.  Publication happens on the
+writer's side — at the end of a commit, a rollback, or a catalog change
+— so a snapshot never contains uncommitted or torn transaction state.
+Reading one requires no lock at all: the snapshot object is immutable,
+and picking up the latest published snapshot is a single reference read.
 
 :class:`SnapshotView` adapts a snapshot to the
 :class:`~repro.algebra.oldstate.StateView` protocol, so the ObjectLog
 evaluator runs read-only queries against frozen state exactly as it
-runs them against the live database.  Keyed lookups build per-snapshot
-hash indexes lazily; concurrent builders race benignly (both compute
-the same immutable index, last assignment wins).
+runs them against the live database.  Keyed lookups use the hash
+indexes each table builds lazily on itself; a relation unchanged since
+the previous epoch shares its table — rows *and* indexes — with it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
+from repro.algebra.delta import RowSet
 from repro.algebra.oldstate import StateView
 from repro.errors import UnknownRelationError
 
 Row = Tuple
-
-_EMPTY: FrozenSet[Row] = frozenset()
 
 __all__ = ["DatabaseSnapshot", "SnapshotView"]
 
@@ -40,17 +39,19 @@ class DatabaseSnapshot:
         Monotone publication counter: snapshot ``N+1`` reflects at
         least one committed change (or catalog change) after ``N``.
     tables:
-        Relation name -> frozenset of rows.  Unchanged relations share
-        their frozenset with the previous snapshot (copy-on-write).
+        Relation name -> :class:`RowSet` (a plain set of rows is
+        wrapped).  Unchanged relations share their table with the
+        previous snapshot (copy-on-write).
     """
 
-    __slots__ = ("epoch", "_tables", "_lookup_indexes")
+    __slots__ = ("epoch", "_tables")
 
-    def __init__(self, epoch: int, tables: Mapping[str, FrozenSet[Row]]) -> None:
+    def __init__(self, epoch: int, tables: Mapping[str, Iterable[Row]]) -> None:
         self.epoch = epoch
-        self._tables: Dict[str, FrozenSet[Row]] = dict(tables)
-        # (relation, columns) -> {key: frozenset(rows)}; built lazily
-        self._lookup_indexes: Dict[tuple, Dict[tuple, FrozenSet[Row]]] = {}
+        self._tables: Dict[str, RowSet] = {
+            name: rows if isinstance(rows, RowSet) else RowSet(rows)
+            for name, rows in tables.items()
+        }
 
     # -- access ----------------------------------------------------------------
 
@@ -60,42 +61,17 @@ class DatabaseSnapshot:
     def has_relation(self, name: str) -> bool:
         return name in self._tables
 
-    def rows(self, name: str) -> FrozenSet[Row]:
+    def table(self, name: str) -> RowSet:
         try:
             return self._tables[name]
         except KeyError:
             raise UnknownRelationError(name) from None
 
-    def contains(self, name: str, row: Row) -> bool:
-        return tuple(row) in self.rows(name)
-
-    def cardinality(self, name: str) -> int:
-        return len(self.rows(name))
-
-    def lookup(
-        self, name: str, columns: Sequence[int], key: Sequence
-    ) -> FrozenSet[Row]:
-        """All rows of ``name`` whose ``columns`` equal ``key``.
-
-        The first lookup on a (relation, columns) pair builds a hash
-        index over the frozen rows and caches it on the snapshot, so
-        repeated probes — the common shape of evaluator joins — cost
-        one dict access.  The build is idempotent, so concurrent
-        readers may race on it safely.
-        """
-        cols = tuple(columns)
-        index_key = (name, cols)
-        index = self._lookup_indexes.get(index_key)
-        if index is None:
-            grouped: Dict[tuple, set] = {}
-            for row in self.rows(name):
-                grouped.setdefault(tuple(row[c] for c in cols), set()).add(row)
-            index = {k: frozenset(v) for k, v in grouped.items()}
-            self._lookup_indexes[index_key] = index
-        return index.get(tuple(key), _EMPTY)
+    def rows(self, name: str) -> FrozenSet[Row]:
+        return self.table(name).rows()
 
     def total_rows(self) -> int:
-        return sum(len(rows) for rows in self._tables.values())
+        return sum(len(table) for table in self._tables.values())
 
     def __repr__(self) -> str:
         return (
@@ -113,21 +89,6 @@ class SnapshotView(StateView):
 
     state = "new"
 
-    __slots__ = ("snapshot",)
-
     def __init__(self, snapshot: DatabaseSnapshot) -> None:
         self.snapshot = snapshot
-
-    def rows(self, name: str) -> FrozenSet[Row]:
-        return self.snapshot.rows(name)
-
-    def contains(self, name: str, row: Row) -> bool:
-        return self.snapshot.contains(name, row)
-
-    def lookup(
-        self, name: str, columns: Sequence[int], key: Sequence
-    ) -> FrozenSet[Row]:
-        return self.snapshot.lookup(name, columns, key)
-
-    def cardinality(self, name: str) -> int:
-        return self.snapshot.cardinality(name)
+        self.relation = snapshot.table

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.delta import DeltaSet
-from repro.algebra.oldstate import NewStateView, OldStateView
+from repro.algebra.oldstate import NewStateView, OldStateView, RolledBack
 from repro.storage.database import Database
 
 
@@ -35,7 +35,10 @@ class TestNewStateView:
         assert relation.index_on((1,)) is not None
 
     def test_cardinality(self, db):
-        assert NewStateView(db).cardinality("r") == 3
+        view = NewStateView(db)
+        assert len(view.relation("r")) == 3
+        # the new state of a relation IS the live relation
+        assert view.relation("r") is db.relation("r")
 
 
 class TestOldStateView:
@@ -66,7 +69,9 @@ class TestOldStateView:
     def test_unchanged_relation_passthrough(self, db):
         old = OldStateView(db, {})
         assert old.rows("r") == NewStateView(db).rows("r")
-        assert old.cardinality("r") == 3
+        # untouched by the delta map: the old state IS the live relation
+        assert old.relation("r") is db.relation("r")
+        assert OldStateView(db, {"r": DeltaSet()}).relation("r") is db.relation("r")
 
     def test_rows_cached(self, db):
         db.relation("r").delete((1, 1))
@@ -77,5 +82,8 @@ class TestOldStateView:
     def test_cardinality_under_change(self, db):
         db.relation("r").insert((4, 4))
         old = OldStateView(db, {"r": DeltaSet({(4, 4)}, frozenset())})
-        assert old.cardinality("r") == 3
-        assert NewStateView(db).cardinality("r") == 4
+        rolled = old.relation("r")
+        assert isinstance(rolled, RolledBack)
+        assert old.relation("r") is rolled  # one object per view and relation
+        assert len(rolled) == 3
+        assert len(NewStateView(db).relation("r")) == 4

@@ -1,16 +1,20 @@
 """Property: OldStateView answers everything as of the old state.
 
-The keyed-lookup path patches a live index probe with a per-(relation,
-columns) index over the delta's minus side; this test pins its
-correctness against the brute-force rollback for random relations,
-random consistent deltas, and every lookup pattern of a binary
-relation.
+The keyed-probe path of a rolled-back relation patches a probe of the
+new state with the delta's own minus side grouped by key; this test
+pins its correctness against the brute-force rollback for random
+relations, random consistent deltas, and every lookup pattern of a
+binary relation — and the self-indexing ``RowSet`` (a frozen relation,
+a delta side) against a plain frozenset.
 """
+
+import threading
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra.delta import DeltaSet, rollback_delta
-from repro.algebra.oldstate import OldStateView
+from repro.algebra.delta import DeltaSet, RowSet, rollback_delta
+from repro.algebra.oldstate import OldStateView, RolledBack
+from repro.obs import metrics
 from repro.storage.database import Database
 
 rows = st.frozensets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10)
@@ -22,6 +26,13 @@ def cases(draw):
     plus = draw(rows) - old
     minus = frozenset(draw(st.lists(st.sampled_from(sorted(old)), max_size=5))) if old else frozenset()
     return old, DeltaSet(plus, minus)
+
+
+PATTERNS = [(0,), (1,), (0, 1), (1, 0)]
+
+
+def matching(rows, columns, key):
+    return {row for row in rows if tuple(row[c] for c in columns) == key}
 
 
 def build(old, delta, index_columns=None):
@@ -64,3 +75,75 @@ class TestOldStateProperty:
         universe = set(old) | set(delta.plus) | {(9, 9)}
         for row in universe:
             assert view.contains("r", row) == (row in old), row
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=cases(), frozen=st.booleans())
+    def test_rolled_back_relation_answers_like_the_materialised_rollback(
+        self, case, frozen
+    ):
+        """Every question of the read interface, asked of ``RolledBack``
+        over the live relation or over a frozen table, against the same
+        question asked of ``rollback_delta``'s materialised set."""
+        old, delta = case
+        view = build(old, delta)
+        live = view._db.relation("r")
+        rolled = RolledBack(live.freeze() if frozen else live, delta)
+        expected = rollback_delta(live.rows(), delta)
+        assert expected == old
+        assert rolled.rows() == expected
+        assert rolled.rows() is rolled.rows()
+        assert len(rolled) == len(expected)
+        universe = set(old) | set(delta.plus) | {(9, 9)}
+        for row in universe:
+            assert (row in rolled) == (row in expected), row
+        for columns in PATTERNS:
+            probe = rolled.prober(columns)
+            # hit, restored (deleted rows' keys), hidden (inserted
+            # rows' keys) and miss
+            keys = {tuple(row[c] for c in columns) for row in universe}
+            for key in keys:
+                assert set(probe(key)) == matching(expected, columns, key), (
+                    columns,
+                    key,
+                )
+        if not frozen and delta:
+            assert view.relation("r").rows() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(content=rows)
+    def test_row_set_answers_like_a_plain_frozenset(self, content):
+        table = RowSet(content)
+        assert table.rows() == content
+        assert len(table) == len(content)
+        for row in set(content) | {(9, 9)}:
+            assert (row in table) == (row in content)
+        for columns in PATTERNS:
+            with metrics.collecting() as reg:
+                probe = table.prober(columns)
+                assert reg.value("rowset.indexes_built") == 1
+                # a second resolution builds nothing
+                assert table.prober(columns) is probe
+                assert reg.value("rowset.indexes_built") == 1
+            keys = {tuple(row[c] for c in columns) for row in content}
+            for key in keys | {(9,) * len(columns)}:
+                assert set(probe(key)) == matching(content, columns, key)
+                assert len(probe(key)) == len(matching(content, columns, key))
+        # concurrent first probes race benignly: whichever build wins,
+        # every thread's prober answers alike
+        fresh = RowSet(content)
+        barrier = threading.Barrier(4)
+        probers = []
+
+        def resolve():
+            barrier.wait(timeout=10)
+            probers.append(fresh.prober((0,)))
+
+        threads = [threading.Thread(target=resolve) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(probers) == 4
+        for key in {(row[0],) for row in content} | {(9,)}:
+            for probe in probers + [fresh.prober((0,))]:
+                assert set(probe(key)) == matching(content, (0,), key)

@@ -85,7 +85,7 @@ class TestEmptyAtTransactionStart:
         db.insert("r", (2, 2))
         old = OldStateView(db, db.peek_deltas())
         assert old.rows("r") == frozenset()
-        assert old.cardinality("r") == 0
+        assert len(old.relation("r")) == 0
         assert not old.contains("r", (1, 1))
         assert db.relation("r").rows() == frozenset({(1, 1), (2, 2)})
         db.commit()

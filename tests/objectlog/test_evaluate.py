@@ -299,9 +299,10 @@ class TestOldStateEvaluation:
 
 
 class TestDeltaIndex:
-    """Keyed probes into large delta-sets (the Fig. 7 massive-update
-    path): at or above DELTA_INDEX_THRESHOLD rows, a bound delta read
-    must go through a per-run key index instead of scanning."""
+    """Keyed probes into delta-sets (the Fig. 7 massive-update path): a
+    delta literal reads one side of the influent's delta-set as a
+    relation, and that side indexes itself — built once per column set,
+    owned by the (immutable) delta-set, never invalidated."""
 
     def big_delta(self, n=20):
         return DeltaSet(frozenset((i, i * 10) for i in range(n)), frozenset())
@@ -318,41 +319,51 @@ class TestDeltaIndex:
         # the probe touched only the matching row, not the whole delta
         assert registry.value("evaluate.delta_rows") == 1
 
-    def test_small_delta_scans_without_index(self, setup):
-        from repro.obs import metrics
-
-        db, program = setup
-        small = DeltaSet(frozenset({(1, 10), (2, 20)}), frozenset())
-        ev = evaluator(db, program, deltas={"q": small})
-        with metrics.collecting() as registry:
-            envs = list(ev.solve_body([PredLiteral("q", (1, Y), delta="+")]))
-        assert [env[Y] for env in envs] == [10]
-        assert registry.value("evaluate.delta_indexes_built") == 0
-
     def test_index_cached_per_column_set(self, setup):
-        db, program = setup
-        ev = evaluator(db, program, deltas={"q": self.big_delta()})
-        first = ev.delta_index("q", "+", (0,))
-        assert ev.delta_index("q", "+", (0,)) is first
-        assert ev.delta_index("q", "+", (1,)) is not first
-
-    def test_set_delta_same_object_keeps_index_warm(self, setup):
         db, program = setup
         delta = self.big_delta()
         ev = evaluator(db, program, deltas={"q": delta})
-        index = ev.delta_index("q", "+", (0,))
-        ev.set_delta("q", delta)  # no-op: same object
-        assert ev.delta_index("q", "+", (0,)) is index
+        # a whole-side read needs no index and builds no table
+        assert ev.rows_of("q", "+") is delta.plus
+        assert not hasattr(delta, "_plus_side")
+        first = ev.prober_of("q", "+", (0,))
+        assert first is delta.side("+").prober((0,))
+        assert ev.prober_of("q", "+", (0,)) is first
+        assert ev.prober_of("q", "+", (1,)) is not first
+        assert first((7,)) == [(7, 70)]
+        # only the side that was asked for exists
+        assert not hasattr(delta, "_minus_side")
+        assert ev.rows_of("absent", "-") == frozenset()
+        assert ev.prober_of("absent", "-", (0,))((7,)) == ()
+
+    def test_set_delta_same_object_keeps_index_warm(self, setup):
+        from repro.obs import metrics
+
+        db, program = setup
+        delta = self.big_delta()
+        ev = evaluator(db, program, deltas={"q": delta})
+        goal = [PredLiteral("q", (7, Y), delta="+")]
+        with metrics.collecting() as registry:
+            list(ev.solve_body(goal))
+            ev.set_delta("q", delta)
+            list(ev.solve_body(goal))
+            # another evaluator (the other state's) reading the same
+            # delta-set shares the index too
+            other = evaluator(db, program, deltas={"q": delta})
+            assert [env[Y] for env in other.solve_body(goal)] == [70]
+        assert registry.value("evaluate.delta_indexes_built") == 1
 
     def test_set_delta_new_object_invalidates_index(self, setup):
         db, program = setup
         ev = evaluator(db, program, deltas={"q": self.big_delta()})
-        stale = ev.delta_index("q", "+", (0,))
+        stale = ev.prober_of("q", "+", (0,))
         replacement = DeltaSet(frozenset({(99, 1)}), frozenset())
         ev.set_delta("q", replacement)
-        fresh = ev.delta_index("q", "+", (0,))
+        fresh = ev.prober_of("q", "+", (0,))
         assert fresh is not stale
-        assert fresh == {(99,): [(99, 1)]}
+        assert fresh((99,)) == [(99, 1)]
+        assert fresh((7,)) == ()
+        assert stale((7,)) == [(7, 70)]  # the old delta-set is untouched
 
 
 class TestCompiledDerived:

@@ -1,10 +1,11 @@
 """Probe resolution belongs to the relation.
 
 A compiled plan step asks its evaluator's view for a ``key -> rows``
-probe once per execution.  The only cache behind that call is
+probe once per execution.  The only caches behind that call are
 ``BaseRelation._probers`` — index-backed bucket readers, dropped when
-the relation evicts the index behind them — so nothing above the
-relation can serve a stale probe: not across ``reset()``, not across a
+the relation evicts the index behind them — and the indexes an
+immutable ``RowSet`` builds on itself, so nothing above the relation
+can serve a stale probe: not across ``reset()``, not across a
 relation becoming touched by the rollback delta, not across metrics
 being switched on.
 """
@@ -55,24 +56,34 @@ class TestProberCache:
         assert reg.counters()["index.probes"] == 1
 
     def test_reset_clears_snapshot_view_probers(self):
-        """An old-state prober over a touched relation reads the view's
-        rollback reconstruction; ``reset()`` drops that reconstruction,
-        so even a closure resolved before it answers for the new
-        transaction's old state, never the previous one's."""
+        """An old-state prober over a touched relation belongs to that
+        transaction's ``RolledBack``; ``reset()`` drops it, so the next
+        resolution answers for the new transaction's old state, never
+        the previous one's.  The deleted rows' key index is the
+        delta-set's own minus side — the very object the old-state
+        evaluator's delta literal reads."""
         db, evaluator = make_evaluator(rows=twenty_rows(), old=True)
         view = evaluator.view
         relation = db.relation("rel0")
         relation.delete((5, 6))
-        view.reset({"rel0": DeltaSet(minus=[(5, 6)])})
+        first = DeltaSet(minus=[(5, 6)])
+        view.reset({"rel0": first})
         before = view.prober("rel0", (0,))
         assert set(before((5,))) == {(5, 6)}
+        evaluator.set_delta("rel0", first)
+        with metrics.collecting() as reg:
+            delta_probe = evaluator.prober_of("rel0", "-", (0,))
+            assert delta_probe is first.side("-").prober((0,))
+            assert delta_probe((5,)) == [(5, 6)]
+        assert reg.value("evaluate.delta_indexes_built") == 0  # the view built it
         # the deletion commits; the next transaction deletes (7, 8)
         relation.delete((7, 8))
         view.reset({"rel0": DeltaSet(minus=[(7, 8)])})
         evaluator.reset()
-        for probe in (before, view.prober("rel0", (0,))):
-            assert set(probe((5,))) == set()
-            assert set(probe((7,))) == {(7, 8)}
+        probe = view.prober("rel0", (0,))
+        assert probe is not before
+        assert set(probe((5,))) == set()
+        assert set(probe((7,))) == {(7, 8)}
 
     def test_untouched_relation_old_probers_survive_reset(self):
         """An old-state prober for a relation the rollback delta does

@@ -280,6 +280,38 @@ class FakeClock:
         self.now += seconds
 
 
+class TestHandlerThreads:
+    def test_finished_handlers_are_pruned_and_stop_is_prompt(self):
+        import time
+
+        engine, _ = make_inventory_engine()
+        server = AmosServer(amos=engine.amos, idle_timeout=3600.0)
+        server.start()
+        try:
+            with connect(server) as keeper:
+                for _ in range(200):
+                    with connect(server) as client:
+                        client.ping()
+                keeper.ping()
+                # the last few handlers may still be winding down; all
+                # but those are gone: the live connection, acceptor,
+                # reaper and a small tail — not one thread per cycle
+                assert len(server._threads) <= 3 + 8
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline:
+                    with connect(server) as client:  # an accept prunes
+                        client.ping()
+                    if len(server._threads) <= 4:
+                        break
+                    time.sleep(0.01)
+                # keeper + acceptor + reaper + the handler just accepted
+                assert len(server._threads) <= 4
+        finally:
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 2.0
+
+
 class TestReaping:
     def test_idle_sessions_are_reaped(self):
         engine, _ = make_inventory_engine()

@@ -101,6 +101,24 @@ class TestApplyCommittedEdges:
         assert not db.has_relation("empty")
         assert db.snapshot_epoch == 0  # no epoch given: nothing published
 
+    def test_missing_relation_under_auto_publish_mints_no_epoch_of_its_own(self):
+        db = Database()
+        db.auto_publish = True
+        db.create_relation("p", 1)
+        ring = db.snapshot_epochs()
+        seen = []
+        db.add_catalog_listener(
+            lambda kind, relation: seen.append((kind, relation.name, db.snapshot_epoch))
+        )
+        db.apply_committed({"fresh": DeltaSet([("x",), ("y",)], [])}, epoch=7)
+        # exactly one new ring entry, at the record's epoch, rows present
+        assert db.snapshot_epochs() == ring + (7,)
+        assert db.snapshot().rows("fresh") == frozenset({("x",), ("y",)})
+        assert not db.snapshot_at(ring[-1]).has_relation("fresh")
+        # the relation was created through the catalog, unpublished
+        assert seen == [("create", "fresh", ring[-1])]
+        assert db.auto_publish is True
+
     def test_explicit_epoch_publishes_exactly_there_and_only_forward(self):
         db = Database()
         db.create_relation("p", 1)

@@ -192,7 +192,7 @@ class TestAutoIndexBudget:
 
     def test_evicted_prober_is_not_served_stale(self):
         relation = self.wide_relation()
-        probe0 = relation.prober((0,), auto=True)
+        probe0 = relation.prober((0,))
         assert probe0((0,))  # row 0 matches on column 0
         # churn enough other auto indexes to evict column 0's
         for col in range(1, relation.AUTO_INDEX_BUDGET + 2):

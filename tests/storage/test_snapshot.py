@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algebra.delta import RowSet
 from repro.errors import SnapshotEpochError, UnknownRelationError
 from repro.obs import metrics
 from repro.storage import Database, DatabaseSnapshot, SnapshotView
@@ -21,15 +22,16 @@ class TestRelationFreeze:
         relation = db.relation("a")
         db.insert("a", (1, 2))
         first = relation.freeze()
-        assert first == frozenset({(1, 2)})
+        assert first.rows() == frozenset({(1, 2)})
         assert relation.freeze() is first  # cached, no copy
+        assert relation.rows() is first.rows()
         assert relation.has_fresh_snapshot
         db.insert("a", (3, 4))
         assert not relation.has_fresh_snapshot
         second = relation.freeze()
-        assert second == frozenset({(1, 2), (3, 4)})
+        assert second.rows() == frozenset({(1, 2), (3, 4)})
         assert second is not first
-        assert first == frozenset({(1, 2)})  # old frozenset untouched
+        assert first.rows() == frozenset({(1, 2)})  # old table untouched
 
     def test_version_bumps_on_real_changes_only(self):
         db = make_db()
@@ -76,6 +78,39 @@ class TestPublishSnapshot:
         assert second.rows("b") is first.rows("b")
         assert second.rows("a") is not first.rows("a")
         assert first.rows("a") == frozenset({(1, 2)})
+
+    def test_clean_relation_carries_its_indexes_across_epochs(self):
+        db = Database()
+        db.create_relation("min_stock", 2).bulk_insert(
+            [(item, 100 + item) for item in range(50)]
+        )
+        db.create_relation("quantity", 2).bulk_insert(
+            [(item, 500) for item in range(50)]
+        )
+        before = db.publish_snapshot()
+        with metrics.collecting() as reg:
+            view = SnapshotView(before)
+            assert view.lookup("min_stock", (0,), (7,)) == {(7, 107)}
+            assert view.lookup("quantity", (0,), (7,)) == {(7, 500)}
+            assert reg.value("rowset.indexes_built") == 2
+            # a commit that touches quantity only
+            db.begin()
+            db.delete("quantity", (7, 500))
+            db.insert("quantity", (7, 120))
+            db.commit()
+            after = db.publish_snapshot()
+            assert after.epoch == before.epoch + 1
+            # the clean relation's table is the SAME object, so the
+            # index the first reader built answers the next epoch's
+            assert after.table("min_stock") is before.table("min_stock")
+            view = SnapshotView(after)
+            assert view.lookup("min_stock", (0,), (7,)) == {(7, 107)}
+            assert reg.value("rowset.indexes_built") == 2
+            # the dirty relation's table is new and indexes itself again
+            assert after.table("quantity") is not before.table("quantity")
+            assert view.lookup("quantity", (0,), (7,)) == {(7, 120)}
+            assert reg.value("rowset.indexes_built") == 3
+        assert SnapshotView(before).lookup("quantity", (0,), (7,)) == {(7, 500)}
 
     def test_no_publication_inside_a_transaction(self):
         db = make_db()
@@ -137,37 +172,61 @@ class TestPublishSnapshot:
 
 class TestDatabaseSnapshot:
     def test_reads(self):
+        # the constructor wraps plain row sets into self-indexing tables
         snap = DatabaseSnapshot(
             3, {"a": frozenset({(1, 2), (1, 3)}), "b": frozenset()}
         )
         assert snap.epoch == 3
         assert snap.relation_names() == ["a", "b"]
-        assert snap.cardinality("a") == 2
-        assert snap.contains("a", (1, 2))
-        assert not snap.contains("a", (9, 9))
+        table = snap.table("a")
+        assert isinstance(table, RowSet)
+        assert len(table) == 2
+        assert (1, 2) in table
+        assert (9, 9) not in table
+        assert snap.rows("a") is table.rows()
         assert snap.total_rows() == 2
+        # a table handed in as a RowSet is kept, not copied
+        assert DatabaseSnapshot(4, {"a": table}).table("a") is table
         with pytest.raises(UnknownRelationError):
             snap.rows("missing")
+        with pytest.raises(UnknownRelationError):
+            snap.table("missing")
 
     def test_lookup_builds_and_reuses_an_index(self):
         snap = DatabaseSnapshot(
             1, {"a": frozenset({(1, 2), (1, 3), (2, 2)})}
         )
-        assert snap.lookup("a", (0,), (1,)) == frozenset({(1, 2), (1, 3)})
-        assert snap.lookup("a", (0,), (5,)) == frozenset()
-        assert snap.lookup("a", (1,), (2,)) == frozenset({(1, 2), (2, 2)})
-        # cached per (relation, columns)
-        assert ("a", (0,)) in snap._lookup_indexes
-        assert ("a", (1,)) in snap._lookup_indexes
+        view = SnapshotView(snap)
+        with metrics.collecting() as reg:
+            assert view.lookup("a", (0,), (1,)) == frozenset({(1, 2), (1, 3)})
+            assert view.lookup("a", (0,), (5,)) == frozenset()
+            assert view.lookup("a", (1,), (2,)) == frozenset({(1, 2), (2, 2)})
+            assert view.lookup("a", (1,), (3,)) == frozenset({(1, 3)})
+        # built once per column set, owned by the table itself
+        assert reg.value("rowset.indexes_built") == 2
+        table = snap.table("a")
+        assert table.prober((0,)) is table.prober((0,))
+        assert table.prober((0,)) is not table.prober((1,))
 
     def test_snapshot_view_is_a_state_view(self):
-        snap = DatabaseSnapshot(1, {"a": frozenset({(1, 2)})})
-        view = SnapshotView(snap)
+        db = make_db()
+        db.relation("a").bulk_insert([(k, k % 3) for k in range(20)])
+        view = SnapshotView(db.publish_snapshot())
         assert view.state == "new"
-        assert view.rows("a") == frozenset({(1, 2)})
-        assert view.contains("a", (1, 2))
-        assert view.cardinality("a") == 1
-        assert view.lookup("a", (0,), (1,)) == frozenset({(1, 2)})
+        assert view.relation("a") is view.snapshot.table("a")
+        assert view.rows("a") == frozenset((k, k % 3) for k in range(20))
+        assert view.contains("a", (1, 1))
+        assert len(view.relation("a")) == 20
+        assert view.lookup("a", (0,), (4,)) == frozenset({(4, 1)})
+        assert set(view.prober("a", (1,))((0,))) == {
+            (k, 0) for k in range(0, 20, 3)
+        }
+        # reads of a snapshot never touch the live relation: no index
+        # was built on it, and it may change freely underneath
+        assert db.relation("a").indexes == {}
+        db.delete("a", (4, 1))
+        assert view.lookup("a", (0,), (4,)) == frozenset({(4, 1)})
+        assert view.contains("a", (4, 1))
 
     def test_snapshot_is_isolated_from_later_writes(self):
         db = make_db()

@@ -64,3 +64,83 @@ class TestSubpackages:
                     if not inspect.getdoc(obj):
                         missing.append(f"{module_name}.{name}")
         assert not missing, missing
+
+
+#: callable -> (independently settable values as ROADMAP's knobs item
+#: counts them, the parameters that count leaves out)
+OPTION_SURFACE = {
+    "repro.rules.manager:RuleManager": (11, {"db", "program"}),
+    "repro.rules.engines:IncrementalEngine": (3, {"db", "program"}),
+    "repro.objectlog.evaluate:Evaluator": (4, set()),
+    "repro.algebra.oldstate:NewStateView": (1, set()),
+    "repro.shard.engine:ShardedEngine": (9, {"db", "program"}),
+    "repro.storage.wal:recover": (3, {"directory", "wal_options"}),
+}
+
+
+class TestOptionSurface:
+    """The knob count ROADMAP recounts by hand each round, pinned: a PR
+    that adds (or removes) an option, an abstract ``StateView`` member
+    or a tuned constant fails here until the number is changed on
+    purpose — and ROADMAP's knobs item with it."""
+
+    @pytest.mark.parametrize("target", sorted(OPTION_SURFACE))
+    def test_parameter_counts(self, target):
+        import inspect
+        import pkgutil
+
+        expected, uncounted = OPTION_SURFACE[target]
+        parameters = set(inspect.signature(pkgutil.resolve_name(target)).parameters)
+        assert uncounted <= parameters
+        assert len(parameters - uncounted) == expected, sorted(parameters)
+
+    def test_state_view_has_one_abstract_member(self):
+        import inspect
+
+        from repro.algebra import RowSet, StateView
+
+        abstract = {
+            name
+            for name, member in vars(StateView).items()
+            if inspect.isfunction(member)
+            and "NotImplementedError" in inspect.getsource(member)
+        }
+        assert abstract == {"relation"}
+
+        class OneTable(StateView):
+            def relation(self, name):
+                return RowSet({(1, 2), (3, 4)})
+
+        view = OneTable()
+        assert view.rows("t") == {(1, 2), (3, 4)}
+        assert view.contains("t", [1, 2])
+        assert view.lookup("t", [0], [3]) == {(3, 4)}
+        assert list(view.prober("t", (1,))((2,))) == [(1, 2)]
+
+    def test_tuned_constants(self):
+        import inspect
+
+        from repro.objectlog.evaluate import Evaluator
+        from repro.replication import ReplicaServer
+        from repro.shard.engine import ShardedEngine
+        from repro.storage import BaseRelation, Database
+
+        def default(callable_, name):
+            return inspect.signature(callable_).parameters[name].default
+
+        assert {
+            "AUTO_INDEX_BUDGET": BaseRelation.AUTO_INDEX_BUDGET,
+            "TRIE_INDEX_BUDGET": BaseRelation.TRIE_INDEX_BUDGET,
+            "ro_cache_size": default(ReplicaServer, "ro_cache_size"),
+            "snapshot_history": Database().snapshot_history,
+            "sync_backlog_limit": default(ShardedEngine, "sync_backlog_limit"),
+            "auto_min_rows": default(ShardedEngine, "auto_min_rows"),
+        } == {
+            "AUTO_INDEX_BUDGET": 8,
+            "TRIE_INDEX_BUDGET": 4,
+            "ro_cache_size": 128,
+            "snapshot_history": 8,
+            "sync_backlog_limit": 256,
+            "auto_min_rows": 1024,
+        }
+        assert not hasattr(Evaluator, "DELTA_INDEX_THRESHOLD")
