@@ -77,6 +77,53 @@ class RolledBack:
 
         return probe
 
+    def trie_index(self, order: Sequence[int], auto: bool = False):
+        """The old-state trie over ``order``: the live trie patched by
+        the delta on the delta's paths only.
+
+        Every dict on the path to a delta row is copied once, then the
+        minus rows are inserted and the plus rows removed, emptied
+        nodes pruned as :meth:`TrieIndex.remove` does.  All other nodes
+        stay shared with the live trie, which is never written — so
+        the patch costs O(|delta| x depth), not a rebuild.  Like a
+        prober it reads the live relation: resolve it per use.
+        """
+        live = self._new.trie_index(order, auto=auto)
+        delta = self._delta
+        if not delta:
+            return live
+        trie = type(live)(live.order)
+        trie.root = dict(live.root)
+        owned = {id(trie.root)}
+        front, last = live.order[:-1], live.order[-1]
+
+        def descend(row, create: bool):
+            # the row's leaf dict and the (parent, key) path to it, every
+            # node on the way made a private copy before it is written
+            node, path = trie.root, []
+            for col in front:
+                value = row[col]
+                child = node.get(value)
+                if child is None and not create:
+                    return None, path
+                if child is None or id(child) not in owned:
+                    child = node[value] = {} if child is None else dict(child)
+                    owned.add(id(child))
+                path.append((node, value))
+                node = child
+            return node, path
+
+        for row in delta.minus:
+            descend(row, True)[0][row[last]] = True
+        for row in delta.plus:
+            node, path = descend(row, False)
+            if node is None or node.pop(row[last], None) is None:
+                continue
+            while not node and path:
+                node, value = path.pop()
+                del node[value]
+        return trie
+
 
 class StateView:
     """Read-only access to base relations in a particular state."""

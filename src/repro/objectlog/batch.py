@@ -572,8 +572,10 @@ def compile_plan(
     relational literals whose base reads share free join variables get
     the kernel; everything else (2-way joins, negative guards, bodies
     dominated by derived/foreign predicates) keeps the pairwise chain.
-    Only new-state evaluation may pass ``wcoj=True`` — tries mirror the
-    stored relations, not the rolled-back old state.
+    Either state may pass ``wcoj=True``: the kernel resolves each trie
+    through the evaluator's view, and an old-state view hands out the
+    live trie patched by the delta
+    (:meth:`repro.algebra.oldstate.RolledBack.trie_index`).
     """
     slot_of: Dict[Variable, int] = {}
 

@@ -35,8 +35,11 @@ Two pieces live here:
   what the worst-case-optimality argument needs; only the sorted
   seek/galloping constant-factor trick is traded away.
 
-The pairwise probe chain remains the default for 2-way joins, negative
-guards, and old-state evaluation (tries reflect the new state only);
+Old-state plans run the same kernel: the trie a kernel reads in the
+old state is the live trie with the transaction's delta patched in on
+the delta's paths only
+(:meth:`repro.algebra.oldstate.RolledBack.trie_index`).  The pairwise
+probe chain remains the default for 2-way joins and negative guards;
 see ``docs/PERFORMANCE.md`` ("Join kernels") for the plan-choice
 heuristic.
 """

@@ -104,7 +104,7 @@ class IncrementalEngine(MonitoringEngine):
         self.program = program
         self.shared_nodes = frozenset(shared_nodes)
         self.negatives = negatives
-        #: WCOJ kernel selection for multi-way new-state differentials
+        #: WCOJ kernel selection for multi-way differentials (either state)
         self.wcoj = wcoj
         self.network = PropagationNetwork(program, negatives=negatives, wcoj=wcoj)
         self._propagator = Propagator(program, db, self.network)

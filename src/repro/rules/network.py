@@ -118,7 +118,7 @@ class PropagationNetwork:
         #: paper's per-differential query optimization, section 1)
         self.optimize = optimize
         #: let the plan compiler fuse multi-way joins into a
-        #: worst-case-optimal kernel (new-state differentials only;
+        #: worst-case-optimal kernel (differentials in either state;
         #: see repro.objectlog.join)
         self.wcoj = wcoj
         self.nodes: Dict[str, NetworkNode] = {}
@@ -213,8 +213,9 @@ class PropagationNetwork:
         exists.
 
         With :attr:`wcoj` the compiler cost-selects the WCOJ kernel for
-        multi-way new-state bodies (old-state differentials stay on the
-        pairwise chain — tries mirror the live relations).
+        multi-way bodies in either state: an old-state differential's
+        kernel reads :meth:`~repro.algebra.oldstate.RolledBack.trie_index`,
+        the live trie patched by the delta on its paths.
         """
         from repro.errors import UnsafeClauseError
         from repro.objectlog.batch import compile_plan
@@ -223,9 +224,8 @@ class PropagationNetwork:
             ordered = order_clause(differential.clause, self.program)
         except UnsafeClauseError:
             return differential
-        wcoj = self.wcoj and differential.state == "new"
         try:
-            plan = compile_plan(ordered, self.program, wcoj=wcoj)
+            plan = compile_plan(ordered, self.program, wcoj=self.wcoj)
         except UnsafeClauseError:  # pragma: no cover - ordered bodies compile
             plan = None
         return dataclasses.replace(

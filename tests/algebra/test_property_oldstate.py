@@ -4,26 +4,35 @@ The keyed-probe path of a rolled-back relation patches a probe of the
 new state with the delta's own minus side grouped by key; this test
 pins its correctness against the brute-force rollback for random
 relations, random consistent deltas, and every lookup pattern of a
-binary relation — and the self-indexing ``RowSet`` (a frozen relation,
-a delta side) against a plain frozenset.
+binary relation — the old-state trie a join kernel reads against a
+trie bulk-loaded from the same rollback, and the self-indexing
+``RowSet`` (a frozen relation, a delta side) against a plain frozenset.
 """
 
+import copy
+import itertools
 import threading
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algebra.delta import DeltaSet, RowSet, rollback_delta
 from repro.algebra.oldstate import OldStateView, RolledBack
+from repro.objectlog.join import TrieIndex
 from repro.obs import metrics
 from repro.storage.database import Database
 
-rows = st.frozensets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10)
+
+def rows_of(arity):
+    return st.frozensets(st.tuples(*[st.integers(0, 4)] * arity), max_size=10)
+
+
+rows = rows_of(2)
 
 
 @st.composite
-def cases(draw):
-    old = draw(rows)
-    plus = draw(rows) - old
+def cases(draw, arity=2):
+    old = draw(rows_of(arity))
+    plus = draw(rows_of(arity)) - old
     minus = frozenset(draw(st.lists(st.sampled_from(sorted(old)), max_size=5))) if old else frozenset()
     return old, DeltaSet(plus, minus)
 
@@ -35,9 +44,9 @@ def matching(rows, columns, key):
     return {row for row in rows if tuple(row[c] for c in columns) == key}
 
 
-def build(old, delta, index_columns=None):
+def build(old, delta, index_columns=None, arity=2):
     db = Database()
-    relation = db.create_relation("r", 2)
+    relation = db.create_relation("r", arity)
     relation.bulk_insert((old | delta.plus) - delta.minus)
     if index_columns is not None:
         relation.create_index(index_columns)
@@ -108,6 +117,48 @@ class TestOldStateProperty:
                 )
         if not frozen and delta:
             assert view.relation("r").rows() == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=cases(arity=3))
+    # empty delta: the live trie itself
+    @example(case=(frozenset({(0, 0, 0)}), DeltaSet(frozenset(), frozenset())))
+    # the inserted row shares only the root key: its branch must be pruned
+    @example(
+        case=(
+            frozenset({(0, 0, 0)}),
+            DeltaSet(frozenset({(0, 1, 1)}), frozenset()),
+        )
+    )
+    def test_rolled_back_trie_is_the_rollback_bulk_loaded(self, case):
+        """The old-state trie — the live trie patched on the delta's
+        paths — equals a fresh trie over the materialised rollback,
+        pruned alike, for every column order; the live trie is left
+        untouched and warm tries are not rebuilt."""
+        old, delta = case
+        live = build(old, delta, arity=3)._db.relation("r")
+        rolled = RolledBack(live, delta)
+        expected = rollback_delta(live.rows(), delta)
+
+        def no_empty_interior(node, depth):
+            return depth == 2 or all(
+                child and no_empty_interior(child, depth + 1)
+                for child in node.values()
+            )
+
+        for order in itertools.permutations(range(3)):
+            warm = live.trie_index(order)
+            before = copy.deepcopy(warm.root)
+            with metrics.collecting() as reg:
+                trie = rolled.trie_index(order)
+                assert reg.value("join.trie_builds") == 0
+            fresh = TrieIndex(order)
+            fresh.bulk_load(expected)
+            assert trie.root == fresh.root, order
+            assert no_empty_interior(trie.root, 0), order
+            assert warm.root == before, order
+            assert live.trie_index(order) is warm
+            if not delta:
+                assert trie is warm
 
     @settings(max_examples=60, deadline=None)
     @given(content=rows)

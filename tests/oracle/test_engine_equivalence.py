@@ -32,13 +32,15 @@ oracle job runs 500+, see docs/TESTING.md).
 """
 
 import os
+import random
 import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.algebra.oldstate import RolledBack
 from repro.amosql.interpreter import AmosqlEngine
-from repro.bench.workload import build_inventory
+from repro.bench.workload import build_inventory, build_multiway
 from repro.rules.engines import MonitoringEngine
 
 pytestmark = pytest.mark.oracle
@@ -358,7 +360,8 @@ class TestWcojEquivalence:
 
     def test_multiway_rules_actually_fuse(self):
         """The oracle is vacuous if no plan takes the kernel path —
-        pin that the triangle/quad differentials fused."""
+        pin that the triangle/quad differentials fused, and that on the
+        multiway schema the old-state (Δ⁻r, Δ⁻val) plans fuse too."""
         engine, _, _ = build(wcoj=True)
         network = engine.amos.rules.engine.network
         assert any(
@@ -366,6 +369,90 @@ class TestWcojEquivalence:
             for edge in network.edges()
             for d in edge.differentials()
         )
+        workload = build_multiway(8, 1, 2, fanout_big=4, wcoj=True)
+        workload.activate()
+        fused = {
+            (d.influent, d.input_sign, d.state): d.plan.fused
+            for edge in workload.amos.rules.engine.network.edges()
+            for d in edge.differentials()
+        }
+        for influent in ("r", "val"):
+            assert fused[(influent, "-", "old")] == 3, fused
+            assert fused[(influent, "+", "new")] == 3, fused
+
+
+def multiway_engines():
+    """The multiway schema three ways: kernel, pairwise chain, naive."""
+    workloads = {
+        "wcoj": build_multiway(8, 2, 3, fanout_big=4, wcoj=True, explain=True),
+        "pairwise": build_multiway(8, 2, 3, fanout_big=4, wcoj=False, explain=True),
+        "naive": build_multiway(8, 2, 3, fanout_big=4, mode="naive", explain=True),
+    }
+    for workload in workloads.values():
+        workload.activate()
+    return workloads
+
+
+def multiway_txn(amos, rng, workload):
+    """One transaction changing ``r`` and ``small`` together and flipping
+    a ``val`` sign — so Δ⁻r's kernel reads rolled-back ``small`` and
+    ``val`` tries, not the live ones."""
+    sources = [source for chunk in workload.slices for source, _ in chunk]
+    with amos.transaction():
+        for _ in range(rng.randint(1, 3)):
+            source = rng.choice(sources)
+            hub = rng.choice(workload.hubs)
+            if amos.value("r", source, hub) is None:
+                amos.set_value("r", (source, hub), 1)
+            else:
+                amos.clear_value("r", (source, hub))
+        for _ in range(rng.randint(1, 3)):
+            source, spoke = rng.choice(sources), rng.choice(workload.spokes)
+            if amos.value("small", source, spoke) is None:
+                amos.set_value("small", (source, spoke), 1)
+            else:
+                amos.clear_value("small", (source, spoke))
+        spoke = rng.choice(workload.spokes)
+        amos.set_value("val", (spoke,), -amos.value("val", spoke))
+
+
+class TestMultiwayRolledBackTries:
+    """wcoj ≡ pairwise ≡ naive on the multiway schema under
+    transactions whose old-state kernel reads patched tries."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rolled_back_kernel_matches_pairwise_and_naive(self, seed, monkeypatch):
+        patched = []
+        live_trie_index = RolledBack.trie_index
+
+        def spy(self, order, auto=False):
+            trie = live_trie_index(self, order, auto)
+            patched.append(trie is not self._new.trie_index(order, auto))
+            return trie
+
+        monkeypatch.setattr(RolledBack, "trie_index", spy)
+        workloads = multiway_engines()
+        names = list(workloads)
+        assert workloads["wcoj"].spokes == workloads["naive"].spokes
+        extensions = {name: frozenset() for name in names}
+        condition = "cnd_monitor_multiway"
+        for step in range(12):
+            nets = {}
+            for name, workload in workloads.items():
+                multiway_txn(workload.amos, random.Random(seed * 100 + step), workload)
+                reported = reported_deltas(workload.amos.rules.last_report)
+                ext = {condition: extensions[name]}
+                nets[name] = net_deltas(reported, ext)
+                extensions[name] = ext[condition]
+                assert extensions[name] == workload.amos.extension(condition), name
+            assert nets["wcoj"] == nets["pairwise"] == nets["naive"], step
+            assert report_digest(
+                workloads["wcoj"].amos.rules.last_report
+            ) == report_digest(workloads["pairwise"].amos.rules.last_report)
+        flagged = [workloads[name].flagged for name in names]
+        assert flagged[0] == flagged[1] == flagged[2]
+        assert flagged[0], "the schedule must make the rule fire"
+        assert any(patched), "no old-state kernel read a patched trie"
 
 
 class TestInventoryEquivalence:
