@@ -11,15 +11,14 @@ baseline.  Per artifact the :data:`GATES` table names
 * the **meta gates** — absolute bars re-checked from the FRESH
   artifact's ``meta`` (measured on one host within one run, so host
   speed cancels): the join kernels' ≥ 2× massive-join speedup, the
-  sharded engine's speedup and small-transaction bars, the WAL's
-  overhead budget, the replicas' ≥ 2× read scale-out.
+  WAL's overhead budget, the replicas' ≥ 2× read scale-out.
 
 Usage::
 
     python benchmarks/compare.py ARTIFACT BASELINE FRESH [--tolerance 0.25]
 
 with ``ARTIFACT`` one of ``checkphase``, ``joinkernel``,
-``shardedcheck``, ``groupcommit``, ``wal``, ``replication``.
+``groupcommit``, ``wal``, ``replication``.
 
 Exit status 0 when every gate passes, 1 otherwise.  Re-baseline by
 committing the regenerated artifact together with the change that
@@ -44,50 +43,6 @@ def joinkernel_meta(meta: Dict, say: Say, fail: Say) -> None:
     say(f"fresh pairwise-vs-wcoj speedup at 5000 spokes: {speedup:.2f}x")
     if speedup < 2.0:
         fail(f"speedup_at_5000: {speedup:.2f}x below the 2.0x acceptance floor")
-
-
-def shardedcheck_meta(meta: Dict, say: Say, fail: Say) -> None:
-    """Two bars, both from the fresh run's intra-run ratios.
-
-    The massive-change speedup of shards4 over shards1 must clear
-    ``meta.speedup_bar`` only when the fresh host had at least
-    ``meta.speedup_bar_min_cpus`` CPUs — on narrower hosts there is
-    nothing to propagate in parallel on.  The small-transaction bar
-    holds on ANY host: tiny commits route serial and never touch the
-    pool, so a pooled engine's churn and steady cost must stay within
-    ``meta.small_txn_bar`` of the serial engine's.
-    """
-    speedup = meta.get("speedup_shards4_massive")
-    cpus = meta.get("cpus", 1)
-    bar = meta.get("speedup_bar", 1.5)
-    if speedup is not None:
-        wide_enough = cpus >= meta.get("speedup_bar_min_cpus", 4)
-        say(
-            f"shards4/shards1 massive speedup: {speedup:.2f}x on {cpus} "
-            f"cpu(s) [{'gated, bar %.1fx' % bar if wide_enough else 'informational, host too narrow'}]"
-        )
-        if wide_enough and speedup < bar:
-            fail(
-                f"sharded speedup {speedup:.2f}x below the {bar:.1f}x bar "
-                f"on a {cpus}-cpu host"
-            )
-    small_bar = meta.get("small_txn_bar")
-    if small_bar is None:
-        return
-    for shape in ("churn", "steady"):
-        ratio = meta.get(f"small_txn_ratio_{shape}")
-        if ratio is None:
-            fail(f"small_txn_ratio_{shape} missing from meta")
-            continue
-        say(
-            f"shards4/shards1 {shape} overhead: {ratio:.2f}x "
-            f"[gated, bar {small_bar:.1f}x]"
-        )
-        if ratio > small_bar:
-            fail(
-                f"pooled {shape} overhead {ratio:.2f}x over serial "
-                f"exceeds the {small_bar:.1f}x small-transaction bar"
-            )
 
 
 def groupcommit_meta(meta: Dict, say: Say, fail: Say) -> None:
@@ -157,8 +112,6 @@ GATES: Dict[str, Gate] = {
     "checkphase": Gate(("batch",), "ms/txn"),
     # the optimized join path; pairwise cells are the A/B reference
     "joinkernel": Gate(("wcoj",), "ms/txn", joinkernel_meta),
-    # today's default path; sharded cells depend on the runner's cores
-    "shardedcheck": Gate(("shards1",), "ms/txn", shardedcheck_meta),
     "groupcommit": Gate(("group",), "ms/commit", groupcommit_meta),
     # the durable path; wal_off is the in-memory reference
     "wal": Gate(("wal_on", "recover"), "ms/commit", wal_meta),

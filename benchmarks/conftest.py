@@ -13,9 +13,7 @@ class CheckPhaseTimer:
     update path and rule-action execution around it.
 
     Wraps the ``process`` *attribute* of whatever engine the manager
-    holds, so it times the serial and sharded paths alike (for the
-    sharded engine that includes worker forking and the wave exchanges
-    — the honest cost of the parallel check phase).
+    holds, so it times the incremental and naive engines alike.
     """
 
     def __init__(self, manager):

@@ -116,8 +116,7 @@ class DeltaSet:
 
     def __reduce__(self):
         # the frozen __setattr__ breaks pickle's default slot-state
-        # restore; rebuild through __init__ instead (shard workers ship
-        # delta-sets across process pipes)
+        # restore; rebuild through __init__ instead
         return (DeltaSet, (self.plus, self.minus))
 
     def side(self, sign: str) -> RowSet:
@@ -156,14 +155,6 @@ class DeltaSet:
         ``delta(~Q) = <delta_minus(Q), delta_plus(Q)>``.
         """
         return DeltaSet(self.minus, self.plus)
-
-    def restrict_plus(self, keep: Iterable[Row]) -> "DeltaSet":
-        """Keep only insertions present in ``keep`` (strict-semantics filter)."""
-        return DeltaSet(self.plus & frozenset(keep), self.minus)
-
-    def restrict_minus(self, keep: Iterable[Row]) -> "DeltaSet":
-        """Keep only deletions present in ``keep``."""
-        return DeltaSet(self.plus, self.minus & frozenset(keep))
 
     # -- predicates --------------------------------------------------------
 

@@ -70,12 +70,6 @@ class AmosDatabase:
         traces; read them with :meth:`last_check_stats` and
         :meth:`last_check_trace` (see :mod:`repro.obs` and
         ``docs/OBSERVABILITY.md``).
-    shards:
-        (via ``manager_options``) 1, the default, is the serial
-        engine; an integer N > 1 opts in to fanning the check phase
-        out to a persistent pool of N forked propagation workers with
-        replica sync and a merge barrier (:mod:`repro.shard`,
-        ``docs/SHARDING.md``; requires ``mode="incremental"``).
     """
 
     def __init__(
@@ -108,17 +102,15 @@ class AmosDatabase:
 
     @property
     def shards(self) -> int:
-        """Worker count of the sharded check phase (1 = serial)."""
-        return self.rules.shards
+        # frozen benchmark, dropped by the benchmark-only PR
+        return 1
 
     def close(self) -> None:
-        """Release long-lived resources: worker pool, attached WAL.
+        """Release long-lived resources: the attached WAL.
 
-        Safe to call on a database that never forked or attached
-        anything; the database itself stays usable afterwards (a later
-        fanned-out check phase simply re-forks its pool).
+        Safe to call on a database that never attached one; the
+        database itself stays usable afterwards.
         """
-        self.rules.engine.close_pool()
         self.detach_wal()
 
     # -- types and objects -------------------------------------------------------

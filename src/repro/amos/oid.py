@@ -26,8 +26,7 @@ class OID:
 
     def __reduce__(self):
         # the frozen __setattr__ breaks pickle's default slot-state
-        # restore; rebuild through __init__ instead (OIDs ride in the
-        # rows that shard workers exchange over process pipes)
+        # restore; rebuild through __init__ instead
         return (OID, (self.id, self.type_name))
 
     def __eq__(self, other: object) -> bool:

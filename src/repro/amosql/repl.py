@@ -227,16 +227,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "accepts connections (see docs/DURABILITY.md)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="server only: N > 1 opts in to fanning each commit's check "
-        "phase out to a persistent pool of N forked propagation workers "
-        "with replica sync and a merge barrier (see docs/SHARDING.md); "
-        "1 (the default) = serial",
-    )
-    parser.add_argument(
         "--replicate-from",
         metavar="HOST:PORT",
         default=None,
@@ -291,7 +281,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             idle_timeout=options.idle_timeout,
             group_commit=options.group_commit,
             wal_dir=options.wal_dir,
-            shards=options.shards,
         )
     repl = Repl(mode=options.mode)
     if options.script:

@@ -212,17 +212,3 @@ class RuleActivationError(RuleError):
 class PropagationError(RuleError):
     """The propagation network was malformed or propagation failed."""
 
-
-class ShardError(RuleError):
-    """Base class for sharded check-phase (repro.shard) errors."""
-
-
-class ShardWorkerError(ShardError):
-    """A shard worker died, hung, or reported a propagation failure.
-
-    Deliberately an ordinary :class:`Exception` subclass (via
-    :class:`ReproError`): ``Database.commit`` catches ``Exception``
-    from check hooks and rolls the transaction back, which is exactly
-    the contract a torn parallel check phase needs — abort cleanly,
-    leave the engine live.
-    """

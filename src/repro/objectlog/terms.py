@@ -186,7 +186,7 @@ def ordered_variables(variables: Iterable[Variable]) -> "list[Variable]":
 
     Every compile-time walk over a variable *set* must use this, never
     ad-hoc ``sorted(..., key=repr)`` / ``key=str`` variants: plans are
-    compiled independently in every process (server workers, shard
-    forks, replicas) and must come out identical everywhere.
+    compiled independently in every process (the primary, replicas,
+    recovery) and must come out identical everywhere.
     """
     return sorted(variables, key=lambda v: v.name)

@@ -22,7 +22,6 @@ __all__ = [
     "registry_to_dict",
     "trace_to_dict",
     "wal_to_dict",
-    "pool_to_dict",
     "export_run",
     "bench_artifact_dir",
     "write_bench_artifact",
@@ -60,46 +59,23 @@ def wal_to_dict(wal) -> Optional[Dict[str, object]]:
     return dict(stats)
 
 
-def pool_to_dict(pool) -> Optional[Dict[str, object]]:
-    """JSON-shaped dump of a shard worker pool's lifetime accounting.
-
-    Accepts a :class:`~repro.shard.engine.ShardedEngine` (its
-    ``pool_stats`` is read), an already-built stats mapping, or None.
-    The per-window counters (``shard.pool.*``, ``shard.auto.*``) live
-    in the metrics registry and come along via
-    :func:`registry_to_dict`; this adds the engine-lifetime totals —
-    forks, respawns, resyncs, sync traffic, reuse hits, discards, and
-    the auto policy's serial-vs-fanout decision counts — which survive
-    registry swaps between check phases.
-    """
-    if pool is None:
-        return None
-    stats = getattr(pool, "pool_stats", pool)
-    return dict(stats)
-
-
 def export_run(
     path: str,
     registry: Optional[Registry] = None,
     trace=None,
     meta: Optional[Dict[str, object]] = None,
     wal=None,
-    pool=None,
 ) -> str:
     """Write one run's metrics (and optional trace) as a JSON document.
 
     ``wal`` (a :class:`~repro.storage.wal.WriteAheadLog`, its
     ``stats()`` dict, or None) embeds the write-ahead log's accounting
-    under a ``"wal"`` key next to the metrics; ``pool`` (a
-    :class:`~repro.shard.engine.ShardedEngine`, its ``pool_stats``
-    dict, or None) likewise embeds the shard worker pool's lifetime
-    accounting under ``"pool"``.
+    under a ``"wal"`` key next to the metrics.
     """
     payload: Dict[str, object] = {"meta": dict(meta or {})}
     payload["metrics"] = registry_to_dict(registry)
     payload["trace"] = trace_to_dict(trace)
     payload["wal"] = wal_to_dict(wal)
-    payload["pool"] = pool_to_dict(pool)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=1, default=str)
     return path

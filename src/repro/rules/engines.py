@@ -67,23 +67,6 @@ class MonitoringEngine:
         live one.
         """
 
-    def finish_phase(self) -> None:
-        """The check phase this engine served is over (commit or abort).
-
-        Engines that track per-phase state (the sharded engine's
-        per-transaction serial-vs-fanout route) reset it here; the
-        manager calls it from the check phase's ``finally``.  Default:
-        nothing to do.
-        """
-
-    def close_pool(self) -> None:
-        """Release any long-lived worker processes (shutdown, tests).
-
-        The sharded engine's persistent pool survives ``finish_phase``
-        by design (docs/SHARDING.md); this is the explicit teardown.
-        Default: nothing to do.
-        """
-
     @property
     def last_trace(self) -> Optional[PropagationTrace]:
         return None
@@ -108,7 +91,6 @@ class IncrementalEngine(MonitoringEngine):
         self.wcoj = wcoj
         self.network = PropagationNetwork(program, negatives=negatives, wcoj=wcoj)
         self._propagator = Propagator(program, db, self.network)
-        self._influents: Dict[str, FrozenSet[str]] = {}
 
     def rebuild(self, conditions: Mapping[str, FrozenSet[str]]) -> None:
         self.network = PropagationNetwork(
@@ -117,7 +99,6 @@ class IncrementalEngine(MonitoringEngine):
         for condition in sorted(conditions):
             self.network.add_condition(condition, keep=self.shared_nodes)
         self._propagator = Propagator(self.program, self.db, self.network)
-        self._influents = dict(conditions)
 
     def process(
         self, base_deltas: Mapping[str, DeltaSet], trace: bool = False

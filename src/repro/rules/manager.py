@@ -36,8 +36,7 @@ __all__ = ["RuleManager"]
 
 
 def resolve_auto_shards(mode: str) -> int:
-    # kept only because benchmarks/e2e/run.py imports it (that directory
-    # is frozen here); the next benchmark-only PR drops it
+    # frozen benchmark, dropped by the benchmark-only PR
     return 1
 
 
@@ -68,16 +67,6 @@ class RuleManager:
         check phase, exposed via :meth:`last_check_stats` and
         ``last_check_trace``.  Tees into any globally installed
         registry, so benchmarks can aggregate across commits.
-    shards:
-        1 (the default) is the plain serial engine.  An integer N > 1
-        opts in to a persistent pool of N forked propagation workers
-        (:mod:`repro.shard`, docs/SHARDING.md); it requires
-        ``mode="incremental"``, and the sharded engine's adaptive
-        policy routes each transaction serial or fanned-out from its
-        Δ size and partition spread.  ``shard_options`` passes extra
-        keyword arguments (``policy``, ``auto_min_rows``,
-        ``key_columns``, ``wave_timeout``, ``sync_backlog_limit``)
-        through to :class:`~repro.shard.engine.ShardedEngine`.
     """
 
     def __init__(
@@ -93,29 +82,21 @@ class RuleManager:
         processing: str = "deferred",
         observe: bool = False,
         wcoj: bool = True,
-        shards: int = 1,
-        shard_options: Optional[Dict] = None,
+        shards: int = 1,  # frozen benchmark, dropped by the benchmark-only PR
     ) -> None:
         if processing not in ("deferred", "immediate"):
             raise RuleError(f"unknown processing mode {processing!r}")
-        if shards == "auto":
-            # alias of the default, accepted only because
-            # benchmarks/e2e/harness.py passes it (frozen here); the
-            # next benchmark-only PR drops it
-            shards = 1
-        elif type(shards) is not int or shards < 1:
-            raise RuleError(f"shards must be a positive integer, got {shards!r}")
-        elif shards > 1 and mode != "incremental":
+        if shards != "auto" and (type(shards) is not int or shards != 1):
             raise RuleError(
-                f"sharded check phase requires mode='incremental' "
-                f"(partial differencing partitions; {mode!r} does not)"
+                f"shards={shards!r}: the sharded check phase was removed "
+                '(EXPERIMENTS.md, "Sharded check phase")'
             )
         self.db = db
         self.program = program
         self.mode = mode
         self.processing = processing
         #: WCOJ kernel selection for multi-way join differentials
-        #: (incremental/sharded engines; repro.objectlog.join)
+        #: (incremental engine; repro.objectlog.join)
         self.wcoj = wcoj
         self.explain = explain
         #: collect per-commit metrics/spans (see repro.obs); read the
@@ -137,23 +118,8 @@ class RuleManager:
         #: [to] perform different actions depending on what has
         #: happened").  None outside action execution.
         self.current_firing: Optional[FiredRule] = None
-        #: worker processes of the sharded check phase (1 = serial)
-        self.shards = shards
-        if shards > 1:
-            # local import: repro.shard imports repro.rules.engines
-            from repro.shard.engine import ShardedEngine
-
-            self.engine: MonitoringEngine = ShardedEngine(
-                db,
-                program,
-                shards=shards,
-                shared_nodes=shared_nodes,
-                negatives=negatives,
-                wcoj=wcoj,
-                **(shard_options or {}),
-            )
-        elif mode == "incremental":
-            self.engine = IncrementalEngine(
+        if mode == "incremental":
+            self.engine: MonitoringEngine = IncrementalEngine(
                 db, program, shared_nodes=shared_nodes, negatives=negatives,
                 wcoj=wcoj,
             )
@@ -298,11 +264,6 @@ class RuleManager:
                     tracing.uninstall()
                 self.last_check_registry = local_registry
             self._in_check_phase = False
-            # per-phase engine state (the sharded engine's sticky
-            # serial-vs-fanout route) resets with the phase; the
-            # persistent worker pool deliberately SURVIVES it and is
-            # re-synced at the next fanned-out phase (docs/SHARDING.md)
-            self.engine.finish_phase()
             # pending net changes are per-transaction: a condition that
             # went false and stayed false must not cancel changes of a
             # LATER transaction
@@ -498,20 +459,6 @@ class RuleManager:
             "wcoj_kernel_emits": counters.get("join.kernel_emits", 0),
             "trie_builds": counters.get("join.trie_builds", 0),
             "trie_evictions": counters.get("join.trie_evictions", 0),
-            # persistent shard worker pool (docs/SHARDING.md): fork and
-            # respawn activity, replica-sync traffic, and the adaptive
-            # policy's serial-vs-fanout routing for this commit
-            "shard_pool_forks": counters.get("shard.pool.forks", 0),
-            "shard_pool_respawns": counters.get("shard.pool.respawns", 0),
-            "shard_pool_resyncs": counters.get("shard.pool.resyncs", 0),
-            "shard_pool_reuse_hits": counters.get(
-                "shard.pool.reuse_hits", 0
-            ),
-            "shard_pool_sync_bytes": counters.get(
-                "shard.pool.sync_bytes", 0
-            ),
-            "shard_auto_serial": counters.get("shard.auto.serial", 0),
-            "shard_auto_fanout": counters.get("shard.auto.fanout", 0),
         }
         return stats
 

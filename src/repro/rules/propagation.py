@@ -136,22 +136,12 @@ class Propagator:
         self,
         base_deltas: Mapping[str, DeltaSet],
         trace: bool = False,
-        old_deltas: Optional[Mapping[str, DeltaSet]] = None,
     ) -> Dict[str, DeltaSet]:
         """Propagate ``base_deltas`` — one ``{relation: DeltaSet}`` map,
         the current transaction's net change — upward; return the root
-        delta-sets.
-
-        ``old_deltas`` overrides the delta map used for old-state
-        reconstruction (logical rollback).  Shard workers seed the
-        network with only their partition of the transaction's change
-        but must roll the WHOLE change back to see the true old state
-        — the partition alone would reconstruct a state that never
-        existed.  None (the default) means old == seeded, today's
-        single-process behaviour.
-        """
+        delta-sets."""
         tracer = PropagationTrace() if trace else None
-        self._roll_back(base_deltas if old_deltas is None else old_deltas)
+        self._roll_back(base_deltas)
         self._new_eval.reset()
         reg = metrics.ACTIVE
         tr = tracing.ACTIVE

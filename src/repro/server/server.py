@@ -212,10 +212,6 @@ class AmosServer:
         # a restart (or another server) can reopen the same directory
         if self.wal_dir is not None:
             self.amos.detach_wal()
-        # the persistent shard worker pool (docs/SHARDING.md) dies with
-        # the server; a restarted server's first fanned-out commit
-        # forks a fresh fleet from the recovered state
-        self.amos.rules.engine.close_pool()
 
     def serve_forever(self) -> None:
         """Block until :meth:`stop` is called (start()s when needed)."""
@@ -719,10 +715,6 @@ class AmosServer:
             "closed_sessions": self.sessions.recent_closed(),
             "address": list(self.address) if self.address else None,
             "wal": wal.stats() if wal is not None else None,
-            "shard_pool": dict(
-                getattr(self.amos.rules.engine, "pool_stats", None) or {}
-            )
-            or None,
             "replication": (
                 self.replication_hub.subscribers()
                 if self.replication_hub is not None
@@ -759,7 +751,6 @@ def serve(
     idle_timeout: Optional[float] = None,
     group_commit: bool = False,
     wal_dir: Optional[str] = None,
-    shards: int = 1,
     out=None,
 ) -> int:
     """Run a server until interrupted (the ``--serve`` entry point).
@@ -782,7 +773,6 @@ def serve(
         idle_timeout=idle_timeout,
         group_commit=group_commit,
         wal_dir=wal_dir,
-        shards=shards,
     )
     register_print_procedures(server.amos, out)
     if script:
@@ -800,8 +790,7 @@ def serve(
     print(
         f"repro server listening on {server.address[0]}:{server.address[1]} "
         f"(mode={mode}, idle_timeout={idle_timeout}, "
-        f"group_commit={group_commit}, wal_dir={wal_dir}, "
-        f"shards={server.amos.shards})",
+        f"group_commit={group_commit}, wal_dir={wal_dir})",
         file=out,
         flush=True,
     )

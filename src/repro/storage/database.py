@@ -526,8 +526,8 @@ class Database:
 
         The one writer beneath the transaction / rule machinery — no
         undo log, no delta accumulation, no check phase, no listeners —
-        that WAL recovery, the replica apply loop and the shard workers
-        all replay a commit through (docs/DURABILITY.md, "Applying a
+        that WAL recovery and the replica apply loop both replay a
+        commit through (docs/DURABILITY.md, "Applying a
         committed record").  Minus before plus; deltas are net state
         differences, so plain set operations suffice and re-applying
         rows already held is a no-op.  A relation the schema bootstrap

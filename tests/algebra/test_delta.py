@@ -1,5 +1,7 @@
 """Unit and property tests for delta-sets and the delta-union operator."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from repro.algebra.delta import (
     delta_union,
     rollback_delta,
 )
+from repro.amos.oid import OID
 from repro.errors import DeltaError
 
 rows = st.frozensets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=6)
@@ -79,10 +82,16 @@ class TestDeltaSet:
         # ...and so does the reverse here, but with asymmetric content:
         assert later.union(earlier).empty
 
-    def test_restrict(self):
-        delta = DeltaSet({(1,), (2,)}, {(3,)})
-        assert delta.restrict_plus([(1,)]).plus == {(1,)}
-        assert delta.restrict_minus([]).minus == frozenset()
+    def test_delta_set_roundtrip(self):
+        # regression: the frozen __setattr__ broke pickle's slot restore
+        delta = DeltaSet([(1, "a")], [(2, "b")])
+        clone = pickle.loads(pickle.dumps(delta))
+        assert clone == delta
+        assert clone.plus == delta.plus and clone.minus == delta.minus
+
+    def test_delta_map_roundtrip(self):
+        deltas = {"quantity": DeltaSet([(OID(1, "item"), 5)], [(OID(1, "item"), 9)])}
+        assert pickle.loads(pickle.dumps(deltas)) == deltas
 
 
 class TestMutableDelta:

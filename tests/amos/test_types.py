@@ -1,5 +1,7 @@
 """Tests for the type system and OIDs."""
 
+import pickle
+
 import pytest
 
 from repro.amos.oid import OID
@@ -33,6 +35,12 @@ class TestOID:
 
     def test_repr(self):
         assert repr(OID(7, "item")) == "#[item 7]"
+
+    def test_oid_roundtrip(self):
+        # regression: the frozen __setattr__ broke pickle's slot restore
+        oid = OID(7, "item")
+        clone = pickle.loads(pickle.dumps(oid))
+        assert clone == oid and clone.type_name == "item"
 
 
 class TestTypeSystem:

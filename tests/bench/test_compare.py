@@ -13,9 +13,7 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-ARTIFACTS = (
-    "checkphase", "joinkernel", "shardedcheck", "groupcommit", "wal", "replication"
-)
+ARTIFACTS = ("checkphase", "joinkernel", "groupcommit", "wal", "replication")
 
 
 def baseline_path(artifact):
@@ -65,7 +63,6 @@ def test_slower_gated_cells_exit_1(tmp_path, artifact):
     "artifact, key, value",
     [
         ("joinkernel", "speedup_at_5000", 1.5),
-        ("shardedcheck", "small_txn_ratio_churn", 1.3),
         ("wal", "overhead_ratio", 1.4),
         ("replication", "read_scaleout", 1.5),
     ],

@@ -3,11 +3,10 @@
 Production code exposes *named fault points* — ``fault_hook`` seams
 called with a point name at interesting moments (``WriteAheadLog``
 during append/rotation, ``persistence.save`` around the atomic
-rename, the shard pool's ``sync.*`` replica-sync handshake and
-``exchange.*`` wave exchange).  The harness arms ONE of those points
-and simulates a process kill there by raising :class:`InjectedCrash`,
-which derives from ``BaseException`` so ordinary ``except Exception``
-recovery code cannot accidentally "survive" the crash.
+rename).  The harness arms ONE of those points and simulates a process
+kill there by raising :class:`InjectedCrash`, which derives from
+``BaseException`` so ordinary ``except Exception`` recovery code cannot
+accidentally "survive" the crash.
 
 The same :class:`FaultPoint` object records every point it saw, so
 tests can also assert ordering invariants (e.g. fsync before ack)
@@ -16,15 +15,10 @@ without killing anything (leave ``point=None``).
 
 from __future__ import annotations
 
-import os
-import signal
 from typing import Dict, List, Optional, Tuple
 
 #: every WAL fault point, re-exported for parametrized tests
 from repro.storage.wal import FAULT_POINTS as WAL_FAULT_POINTS  # noqa: F401
-
-#: the sharded check phase's exchange seams, re-exported likewise
-from repro.shard.worker import SHARD_FAULT_POINTS  # noqa: F401
 
 PERSISTENCE_FAULT_POINTS = ("save.mid_write", "save.pre_rename")
 
@@ -80,65 +74,3 @@ class FaultPoint:
             f"hits={len(self.hits)})"
         )
 
-
-class KillWorkerAt:
-    """SIGKILL one live shard worker at an armed exchange fault point.
-
-    Unlike :class:`FaultPoint` this does not raise in the leader — it
-    really kills the worker process, so the abort path under test is
-    the leader's own pipe-failure detection (broken broadcast, EOF or
-    stall at the merge barrier), exactly what a crashed worker causes
-    in production.
-
-    Parameters
-    ----------
-    engine:
-        The :class:`~repro.shard.engine.ShardedEngine` whose pool the
-        victim is taken from (``engine.pool_pids``).
-    point:
-        One of :data:`SHARD_FAULT_POINTS`.
-    victim:
-        Index into the live pid list (default: shard 0's worker).
-    after:
-        Skip this many matching hits first — ``after=0`` at
-        ``exchange.post`` kills after wave 1's barrier, so wave 2 of a
-        cascading check loop hits the corpse.
-
-    Use the instance directly as the engine's ``fault_hook``.
-    """
-
-    def __init__(self, engine, point: str, victim: int = 0, after: int = 0) -> None:
-        self.engine = engine
-        self.point = point
-        self.victim = int(victim)
-        self.after = int(after)
-        self.killed: Optional[int] = None
-        self.hits: List[Tuple[str, Dict]] = []
-
-    def __call__(self, point: str, context: Optional[Dict] = None) -> None:
-        self.hits.append((point, dict(context or {})))
-        if self.killed is not None or point != self.point:
-            return
-        if self.after > 0:
-            self.after -= 1
-            return
-        pids = self.engine.pool_pids
-        if not pids:
-            return
-        pid = pids[self.victim % len(pids)]
-        os.kill(pid, signal.SIGKILL)
-        # SIGKILL delivery is asynchronous: block until the victim is
-        # really dead, but leave it reapable (WNOWAIT) — otherwise
-        # whether the leader's waitpid(WNOHANG) liveness probe sees the
-        # corpse is a race
-        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-        self.killed = pid
-
-    def sequence(self) -> List[str]:
-        return [name for name, _ in self.hits]
-
-    def __repr__(self) -> str:
-        return (
-            f"KillWorkerAt(point={self.point!r}, killed={self.killed}, "
-            f"hits={len(self.hits)})"
-        )

@@ -1,12 +1,12 @@
 """Regression: compiled plans must be identical across processes.
 
 Differential plans are compiled independently by every process that
-builds a propagation network — the server leader, each sharded-check
-worker after a fork, every replica applying the WAL.  If the compiler
-ever keys a decision on set iteration order (which varies with
-``PYTHONHASHSEED``), two processes disagree on register layout or
-join order and every cross-process invariant (shard merge, replica
-equivalence, plan-cache reuse) silently degrades.
+builds a propagation network — the server leader, every replica
+applying the WAL, every recovery.  If the compiler ever keys a decision
+on set iteration order (which varies with ``PYTHONHASHSEED``), two
+processes disagree on register layout or join order and every
+cross-process invariant (replica equivalence, plan-cache reuse)
+silently degrades.
 
 Historically the compiler sorted free head/body variables with
 ``key=repr`` in one place and ``key=lambda v: v.name`` in another;

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.amos.database import AmosDatabase
+from repro.amosql.interpreter import AmosqlEngine
 from repro.errors import RuleActivationError, RuleError, UnknownRuleError
 from repro.objectlog.clause import HornClause
 from repro.objectlog.literals import Comparison, PredLiteral
 from repro.objectlog.program import Program
 from repro.objectlog.terms import Variable
-from repro.rules.manager import RuleManager
+from repro.rules.engines import IncrementalEngine
+from repro.rules.manager import RuleManager, resolve_auto_shards
 from repro.rules.rule import Activation, Rule, default_conflict_resolver
+from repro.server import AmosServer
 from repro.storage.database import Database
 
 X, Y = Variable("X"), Variable("Y")
@@ -341,8 +344,37 @@ class TestRollbackSafety:
 class TestEngineSelection:
     @pytest.mark.parametrize("shards", [1.5, 2.0, True, False, 0, -1, "2", None])
     def test_shards_must_be_a_positive_int(self, shards):
-        with pytest.raises(RuleError, match="positive integer"):
+        with pytest.raises(RuleError, match="sharded check phase was removed"):
             make_db(shards=shards)
+
+    @pytest.mark.parametrize("mode", ["incremental", "naive"])
+    def test_removed_shard_options_raise(self, mode):
+        with pytest.raises(RuleError, match='EXPERIMENTS.md, "Sharded check phase"'):
+            make_db(mode=mode, shards=2)
+        with pytest.raises(RuleError):
+            AmosDatabase(mode=mode, shards=4)
+        with pytest.raises(TypeError):
+            make_db(mode=mode, shard_options={"policy": "fanout"})
+
+    @pytest.mark.parametrize(
+        "make_amos",
+        [
+            AmosDatabase,
+            lambda: AmosqlEngine().amos,
+            lambda: AmosServer().amos,
+            lambda: AmosqlEngine(shards="auto").amos,
+            lambda: AmosDatabase(shards=1),
+        ],
+        ids=["AmosDatabase", "AmosqlEngine", "AmosServer", "auto-alias", "one"],
+    )
+    def test_default_engine_is_incremental(self, make_amos):
+        amos = make_amos()
+        assert type(amos.rules.engine) is IncrementalEngine
+        assert amos.shards == 1
+
+    @pytest.mark.parametrize("mode", ["incremental", "naive"])
+    def test_auto_shards_resolution(self, mode):
+        assert resolve_auto_shards(mode) == 1
 
     def test_removed_hybrid_options_raise(self, tmp_path):
         with pytest.raises(RuleError, match="unknown monitoring mode"):

@@ -69,11 +69,10 @@ class TestSubpackages:
 #: callable -> (independently settable values as ROADMAP's knobs item
 #: counts them, the parameters that count leaves out)
 OPTION_SURFACE = {
-    "repro.rules.manager:RuleManager": (11, {"db", "program"}),
+    "repro.rules.manager:RuleManager": (10, {"db", "program"}),
     "repro.rules.engines:IncrementalEngine": (3, {"db", "program"}),
     "repro.objectlog.evaluate:Evaluator": (4, set()),
     "repro.algebra.oldstate:NewStateView": (1, set()),
-    "repro.shard.engine:ShardedEngine": (9, {"db", "program"}),
     "repro.storage.wal:recover": (3, {"directory", "wal_options"}),
 }
 
@@ -122,7 +121,6 @@ class TestOptionSurface:
 
         from repro.objectlog.evaluate import Evaluator
         from repro.replication import ReplicaServer
-        from repro.shard.engine import ShardedEngine
         from repro.storage import BaseRelation, Database
 
         def default(callable_, name):
@@ -133,14 +131,10 @@ class TestOptionSurface:
             "TRIE_INDEX_BUDGET": BaseRelation.TRIE_INDEX_BUDGET,
             "ro_cache_size": default(ReplicaServer, "ro_cache_size"),
             "snapshot_history": Database().snapshot_history,
-            "sync_backlog_limit": default(ShardedEngine, "sync_backlog_limit"),
-            "auto_min_rows": default(ShardedEngine, "auto_min_rows"),
         } == {
             "AUTO_INDEX_BUDGET": 8,
             "TRIE_INDEX_BUDGET": 4,
             "ro_cache_size": 128,
             "snapshot_history": 8,
-            "sync_backlog_limit": 256,
-            "auto_min_rows": 1024,
         }
         assert not hasattr(Evaluator, "DELTA_INDEX_THRESHOLD")
