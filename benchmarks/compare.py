@@ -17,8 +17,8 @@ Usage::
 
     python benchmarks/compare.py ARTIFACT BASELINE FRESH [--tolerance 0.25]
 
-with ``ARTIFACT`` one of ``checkphase``, ``joinkernel``,
-``groupcommit``, ``wal``, ``replication``.
+with ``ARTIFACT`` one of ``checkphase``, ``joinkernel``, ``wal``,
+``replication``.
 
 Exit status 0 when every gate passes, 1 otherwise.  Re-baseline by
 committing the regenerated artifact together with the change that
@@ -43,17 +43,6 @@ def joinkernel_meta(meta: Dict, say: Say, fail: Say) -> None:
     say(f"fresh pairwise-vs-wcoj speedup at 5000 spokes: {speedup:.2f}x")
     if speedup < 2.0:
         fail(f"speedup_at_5000: {speedup:.2f}x below the 2.0x acceptance floor")
-
-
-def groupcommit_meta(meta: Dict, say: Say, fail: Say) -> None:
-    if meta.get("speedup") is not None:
-        say(f"fresh group-vs-serial speedup: {meta['speedup']:.2f}x")
-    distribution = meta.get("batch_size_distribution")
-    if distribution:
-        say(
-            f"fresh batch sizes: mean={distribution['mean']:.2f} "
-            f"max={distribution['max']} over {distribution['count']} waves"
-        )
 
 
 def wal_meta(meta: Dict, say: Say, fail: Say) -> None:
@@ -112,7 +101,6 @@ GATES: Dict[str, Gate] = {
     "checkphase": Gate(("batch",), "ms/txn"),
     # the optimized join path; pairwise cells are the A/B reference
     "joinkernel": Gate(("wcoj",), "ms/txn", joinkernel_meta),
-    "groupcommit": Gate(("group",), "ms/commit", groupcommit_meta),
     # the durable path; wal_off is the in-memory reference
     "wal": Gate(("wal_on", "recover"), "ms/commit", wal_meta),
     # the replica apply loop and the scale-out read path

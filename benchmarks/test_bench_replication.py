@@ -3,7 +3,7 @@
 Two phases, one artifact (``BENCH_replication.json``):
 
 **Phase A — lag under a commit storm (in-process).**  16 sessions
-hammer a group-commit primary while one replica follows the WAL
+hammer a WAL-backed primary while one replica follows the WAL
 stream.  A sampler thread records ``replica.lag_epochs`` through the
 storm; afterwards we time the drain back to lag 0.  The acceptance
 property is *bounded* lag: the replica must return to the primary's
@@ -73,7 +73,6 @@ def drive_lag_storm():
     primary = AmosServer(
         amos=workload.amos,
         observe=False,
-        group_commit=True,
         wal_dir=primary_dir,
     )
     primary.start()
@@ -141,8 +140,7 @@ def drive_lag_storm():
     stats = replica.stats()
     apply_hist = stats["histograms"].get("replica.apply_ms") or {}
     records = stats["counters"].get("replica.applied_records", 0)
-    # group commit coalesces member commits into merged records: the
-    # exactly-once check is against the primary's record count
+    # the exactly-once check is against the primary's record count
     wal_records = primary.amos.wal.next_lsn
     equal_state = (
         replica.amos.snapshot_extensions()
@@ -386,7 +384,7 @@ def drive_read_scaleout():
 
     wal_dir = tempfile.mkdtemp(prefix="bench-repl-pwal-")
     primary_proc, primary_addr = spawn_server(
-        script_path, "--wal-dir", wal_dir, "--group-commit"
+        script_path, "--wal-dir", wal_dir
     )
     replicas = []
     try:
@@ -464,8 +462,7 @@ class TestReplicationBench:
         assert lag["equal_state"], "replica diverged from the primary"
         assert lag["final_lag"] == 0
         assert lag["drain_seconds"] < DRAIN_BAR_SECONDS
-        # every WAL record was applied exactly once (group commit
-        # coalesces member commits, so compare records, not commits)
+        # every WAL record was applied exactly once
         assert lag["records"] == lag["wal_records"]
         assert lag["records"] > 0
 

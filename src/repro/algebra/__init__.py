@@ -7,7 +7,6 @@ from repro.algebra.delta import (
     RowSet,
     apply_delta,
     delta_union,
-    delta_union_all,
     rollback_delta,
 )
 from repro.algebra.differencing import (
@@ -39,7 +38,6 @@ __all__ = [
     "RowSet",
     "apply_delta",
     "delta_union",
-    "delta_union_all",
     "rollback_delta",
     "PartialDifferential",
     "differentiate",

@@ -186,30 +186,6 @@ def delta_union(first: DeltaSet, second: DeltaSet) -> DeltaSet:
     return first.union(second)
 
 
-def delta_union_all(deltas: Iterable[DeltaSet]) -> DeltaSet:
-    """N-ary delta-union: left-to-right fold in *occurrence order*.
-
-    ``delta_union_all([d1, d2, d3]) == (d1 UNION_d d2) UNION_d d3`` —
-    the merged logical change of several consecutive transactions, with
-    inter-transaction churn cancelled (the group-commit merge).
-
-    Order matters in general: the operator is **not** associative over
-    arbitrary delta-set pairs (e.g. ``a=<{x},∅>, b=<∅,{x}>, c=<∅,{x}>``
-    gives ``(a∪b)∪c = <∅,{x}>`` but ``a∪(b∪c) = <∅,∅>``).  It *is*
-    associative — and the fold therefore order-insensitive up to
-    grouping — for **sequentially compatible** chains, where each delta
-    is applicable to the state produced by its predecessors
-    (``plus ∩ state == ∅ and minus ⊆ state``).  Consecutive committed
-    transactions always form such a chain, which is exactly the
-    group-commit setting; ``tests/algebra/test_delta_properties.py``
-    pins both facts down.
-    """
-    merged = MutableDelta()
-    for delta in deltas:
-        merged.merge(delta)
-    return merged.freeze()
-
-
 def apply_delta(rows: Iterable[Row], delta: DeltaSet) -> Rows:
     """Roll a set of rows *forward*: ``S_new = (S_old - minus) | plus``."""
     return (frozenset(rows) - delta.minus) | delta.plus

@@ -14,14 +14,13 @@ API that the AMOSQL interpreter (and any Python application) talks to:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.amos.functions import FunctionDef, FunctionSignature, ProcedureDef
 from repro.amos.oid import OID
 from repro.amos.types import TypeDef, TypeSystem
 from repro.algebra.oldstate import NewStateView
-from repro.errors import AmosError, TypeCheckError, UnknownFunctionError
+from repro.errors import AmosError, TransactionError, TypeCheckError, UnknownFunctionError
 from repro.objectlog.clause import HornClause
 from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.program import Program
@@ -31,24 +30,7 @@ from repro.storage.database import Database
 
 Row = Tuple
 
-__all__ = ["AmosDatabase", "GroupUnitOutcome"]
-
-
-@dataclass
-class GroupUnitOutcome:
-    """Per-member result of :meth:`AmosDatabase.apply_group`.
-
-    ``ok`` — whether the member's updates are part of the committed
-    state; ``value`` — whatever the member's callable returned (None on
-    failure); ``error`` — the exception that rejected the member (None
-    on success); ``retried`` — True when the member succeeded only via
-    the serial retry after the merged check phase failed.
-    """
-
-    ok: bool
-    value: object = None
-    error: Optional[BaseException] = None
-    retried: bool = False
+__all__ = ["AmosDatabase"]
 
 
 class AmosDatabase:
@@ -577,9 +559,7 @@ class AmosDatabase:
     def _wal_on_commit(self, committed) -> None:
         if not committed.events and committed.epoch <= self._wal_last_epoch:
             return  # read-only commit: nothing to make durable
-        self.wal.append_commit(
-            committed.epoch, committed.deltas, committed.group
-        )
+        self.wal.append_commit(committed.epoch, committed.deltas)
         self._wal_last_epoch = committed.epoch
 
     def _wal_on_catalog(self, op: str, relation) -> None:
@@ -622,15 +602,28 @@ class AmosDatabase:
     def load_data(self, path: str) -> int:
         """Restore data saved by :meth:`save_data` into this schema.
 
-        The OID counter advances past the highest restored OID so new
-        objects never collide with reloaded ones.  Returns the number
-        of rows loaded.
+        The file becomes one net Δ-map against the current state,
+        applied beneath the rule machinery at the next epoch — logged
+        first when a write-ahead log is attached, so a restart recovers
+        the loaded state.  The monitoring engine is then re-baselined
+        (nothing fires for the load itself) and the OID counter advances
+        past the highest restored OID so new objects never collide with
+        reloaded ones.  Returns the number of rows loaded.
         """
         from repro.storage import persistence
 
-        loaded = persistence.load(self.storage, path)
+        if self.storage.in_transaction:
+            raise TransactionError("load_data inside a transaction")
+        snapshot = persistence.read(path)
+        deltas = persistence.diff(self.storage, snapshot)
+        epoch = self.storage.snapshot_epoch + 1
+        if self.wal is not None:
+            self.wal.append_commit(epoch, deltas)
+            self._wal_last_epoch = epoch
+        self.storage.apply_committed(deltas, epoch)
+        self.rules.resync_engine()
         self.reserve_oids()
-        return loaded
+        return sum(len(payload["rows"]) for payload in snapshot["relations"].values())
 
     def snapshot_extensions(self) -> Dict[str, List[str]]:
         """A comparable fingerprint of every base relation's extension.
@@ -670,86 +663,6 @@ class AmosDatabase:
     def transaction(self):
         """``with amos.transaction(): ...`` — deferred rules run at commit."""
         return self.storage.transaction()
-
-    def apply_group(
-        self,
-        units: Sequence[Callable[[], object]],
-        retry_serial: bool = True,
-    ) -> List[GroupUnitOutcome]:
-        """Apply several member transactions as ONE merged transaction.
-
-        This is the engine half of group commit (``docs/SERVER.md``):
-        every ``unit`` is a callable performing one member's updates.
-        All members run sequentially inside a single storage
-        transaction, so the per-relation delta accumulators fold their
-        changes with the delta-union operator as they land —
-        cross-member churn cancels — and the single ``commit()`` at the
-        end drives ONE deferred check phase / propagation wave over the
-        merged net Δ, publishing one snapshot epoch for the whole
-        group.  Semantically the group behaves exactly like one merged
-        transaction (the oracle in ``tests/oracle`` pins this).
-
-        Member isolation: each unit runs under its own savepoint — a
-        unit that raises is rolled back to its savepoint (the undo-log
-        replay also corrects the delta accumulators) and reported
-        failed, while the survivors stay in the batch.  If the merged
-        *check phase* itself fails, the whole group rolls back and,
-        with ``retry_serial`` (the default), every until-then
-        successful member is retried as its own serial transaction —
-        which also attributes the failure to the member(s) actually
-        responsible.
-
-        Must be called outside any open transaction.  Returns one
-        :class:`GroupUnitOutcome` per unit, in order.
-        """
-        outcomes: List[Optional[GroupUnitOutcome]] = [None] * len(units)
-        if not units:
-            return []
-        applied: List[int] = []
-        self.begin()
-        try:
-            for index, unit in enumerate(units):
-                savepoint = self.storage.savepoint()
-                try:
-                    value = unit()
-                except Exception as exc:
-                    self.storage.rollback_to(savepoint)
-                    outcomes[index] = GroupUnitOutcome(False, error=exc)
-                else:
-                    outcomes[index] = GroupUnitOutcome(True, value=value)
-                    applied.append(index)
-            # the commit record of the merged transaction carries the
-            # group boundary (WAL commit listeners read it)
-            self.storage.group_meta = {
-                "members": len(units),
-                "applied": len(applied),
-            }
-            try:
-                self.commit()  # ONE check phase over the merged delta
-            finally:
-                self.storage.group_meta = None
-        except BaseException:
-            if self.storage.in_transaction:
-                self.rollback()
-            if not retry_serial:
-                raise
-            # the merged check phase (or commit machinery) failed;
-            # blame cannot be attributed inside the merged wave, so
-            # each surviving member re-runs as its own transaction
-            for index in applied:
-                try:
-                    self.begin()
-                    value = units[index]()
-                    self.commit()
-                except BaseException as exc:
-                    if self.storage.in_transaction:
-                        self.rollback()
-                    outcomes[index] = GroupUnitOutcome(False, error=exc)
-                else:
-                    outcomes[index] = GroupUnitOutcome(
-                        True, value=value, retried=True
-                    )
-        return outcomes  # type: ignore[return-value]
 
     def begin(self) -> None:
         self.storage.begin()

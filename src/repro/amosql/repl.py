@@ -213,12 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="server only: reap sessions idle for this many seconds",
     )
     parser.add_argument(
-        "--group-commit",
-        action="store_true",
-        help="server only: coalesce concurrent commits into one "
-        "merged-delta check phase (see docs/SERVER.md)",
-    )
-    parser.add_argument(
         "--wal-dir",
         metavar="DIR",
         default=None,
@@ -279,7 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             mode=options.mode,
             script=script_text,
             idle_timeout=options.idle_timeout,
-            group_commit=options.group_commit,
             wal_dir=options.wal_dir,
         )
     repl = Repl(mode=options.mode)

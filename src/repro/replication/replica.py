@@ -84,8 +84,8 @@ class ReplicaServer(AmosServer):
         check phases.
 
     Remaining keyword arguments go to :class:`AmosServer` (``host``,
-    ``port``, ``observe``, ...).  ``group_commit`` and a base-class
-    ``wal_dir`` make no sense here and are not accepted.
+    ``port``, ``observe``, ...).  A base-class ``wal_dir`` makes no
+    sense here and is not accepted.
     """
 
     def __init__(

@@ -428,17 +428,8 @@ class RuleManager:
             "relation.snapshots", 0
         )
         gauges = registry.gauges()
-        histograms = registry.histograms()
-        batch_hist = histograms.get("server.commit_queue.batch_size", {})
-        wait_hist = histograms.get("server.commit_queue.wait_ms", {})
         stats = registry.as_dict()
         stats["derived"] = {
-            # group commit (docs/SERVER.md): how many transactions this
-            # check phase served and how long they queued — stamped by
-            # the server leader when the commit rode a group batch
-            "commit_batch_size": batch_hist.get("max"),
-            "commits_coalesced": counters.get("server.commits_coalesced", 0),
-            "commit_queue_wait_ms_max": wait_hist.get("max"),
             "iterations": counters.get("check.iterations", 0),
             "rules_fired": counters.get("check.rules_fired", 0),
             "edges_fired": counters.get("propagation.edges_fired", 0),

@@ -121,9 +121,6 @@ class AmosClient:
         #: epoch published by this client's last successful commit
         #: (protocol v3 servers; None before the first commit)
         self.last_commit_epoch: Optional[int] = None
-        #: size of the group-commit batch the last commit rode in
-        #: (1 on a serial-commit server; see docs/SERVER.md)
-        self.last_commit_coalesced: Optional[int] = None
         self._sock: Optional[socket.socket] = None
         self._seq = 0
         self._replica_pool: List[Optional["AmosClient"]] = [
@@ -255,7 +252,6 @@ class AmosClient:
         for result in response["results"]:
             if isinstance(result, dict) and result.get("kind") == "committed":
                 self.last_commit_epoch = result.get("epoch")
-                self.last_commit_coalesced = result.get("coalesced")
         return [codec.decode_result(result) for result in response["results"]]
 
     def query(self, select_text: str) -> List[Row]:

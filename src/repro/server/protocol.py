@@ -28,9 +28,9 @@ Conversation shape:
   ``SnapshotEpochError``;
 * protocol version 3 also extends the ``{"kind": "committed"}`` result
   of a ``commit;`` statement with ``"epoch"`` (the snapshot epoch the
-  commit published) and ``"coalesced"`` (how many transactions the
-  server's group-commit batch contained — 1 on the serial path; see
-  ``docs/SERVER.md``);
+  commit published).  Early v3 acks also carried the size of the
+  group-commit batch the commit rode in; that field is retired with
+  group commit, and clients that read it get None;
 * protocol version 4 adds the **replication stream**
   (:mod:`repro.replication`): ``{"id": n, "op": "replicate",
   "last_lsn": L}`` asks a primary to push its WAL records after ``L``.
@@ -67,8 +67,8 @@ __all__ = [
 ]
 
 #: 2: query_ro snapshot reads; 3: epoch-pinned query_ro + commit acks
-#: carrying the published epoch and the group-commit batch size;
-#: 4: the replicate op + wal/heartbeat push events
+#: carrying the published epoch; 4: the replicate op + wal/heartbeat
+#: push events
 PROTOCOL_VERSION = 4
 
 #: default upper bound on one frame's JSON body, in bytes

@@ -37,7 +37,6 @@ from repro.amosql.parser import parse
 from repro.errors import ProtocolError, ServerError, TransactionError
 from repro.obs import metrics, tracing
 from repro.server import codec, protocol
-from repro.server.groupcommit import CommitQueue, PendingCommit
 from repro.server.session import Session, SessionRegistry
 
 __all__ = ["AmosServer", "serve", "parse_hostport"]
@@ -59,16 +58,6 @@ class AmosServer:
     observe:
         Wrap commits in ``server.commit`` spans.  Defaults to the
         database's own ``observe`` setting.
-    group_commit:
-        Coalesce commits from concurrent sessions into one merged-Δ
-        check phase (default off).  Committers enqueue on a
-        :class:`~repro.server.groupcommit.CommitQueue` and contend for
-        the engine lock; the winner *leads*: it drains everything that
-        queued up while the previous check phase ran and applies the
-        whole batch as ONE merged transaction
-        (:meth:`AmosDatabase.apply_group`) — one propagation wave, one
-        snapshot epoch, per-member error isolation via savepoints.
-        Semantics and tuning: ``docs/SERVER.md`` / ``docs/PERFORMANCE.md``.
     wal_dir:
         Directory of the durable write-ahead Δ-log.  On :meth:`start`
         the server first *recovers* — replays any committed records the
@@ -87,7 +76,6 @@ class AmosServer:
         reap_interval: Optional[float] = None,
         max_frame: int = protocol.MAX_FRAME,
         observe: Optional[bool] = None,
-        group_commit: bool = False,
         wal_dir: Optional[str] = None,
         clock=None,
         **amos_options,
@@ -117,12 +105,9 @@ class AmosServer:
             else SessionRegistry(idle_timeout, clock=clock)
         )
         self._reap_interval = reap_interval
-        #: coalesce concurrent commits into one merged check phase
-        self.group_commit = group_commit
         #: durable Δ-log directory (recovery happens in start())
         self.wal_dir = wal_dir
         self.last_recovery = None
-        self._commit_queue = CommitQueue()
         #: fans the WAL stream out to replicas (created in start() when
         #: a write-ahead log is attached; see repro.replication)
         self.replication_hub = None
@@ -456,13 +441,8 @@ class AmosServer:
         if isinstance(statement, ast.CommitTransaction):
             if not session.in_transaction:
                 raise TransactionError("commit without begin")
-            results, epoch, coalesced = self._commit_session(session)
-            return {
-                "kind": "committed",
-                "results": results,
-                "epoch": epoch,
-                "coalesced": coalesced,
-            }
+            results, epoch = self._commit_session(session)
+            return {"kind": "committed", "results": results, "epoch": epoch}
         if isinstance(statement, ast.RollbackTransaction):
             if not session.in_transaction:
                 raise TransactionError("rollback without begin")
@@ -484,25 +464,17 @@ class AmosServer:
         return codec.encode_result(statement, result)
 
     def _commit_session(self, session: Session):
-        """Commit the session's buffered transaction.
-
-        Returns ``(results, epoch, coalesced)``: the encoded
-        per-statement results, the snapshot epoch the commit published,
-        and how many transactions shared the check phase (always 1 on
-        the serial path).  The session's transaction scope is closed
-        either way — a failed commit never leaves half a buffer behind.
-        """
-        statements = session.take_buffer()
-        if self.group_commit:
-            return self._commit_grouped(session, statements)
-        return self._commit_serial(session, statements)
-
-    def _commit_serial(self, session: Session, statements: List[object]):
-        """Replay ``statements`` as ONE transaction + check phase.
+        """Replay the session's buffered statements as ONE transaction.
 
         Holds the engine lock for the whole apply-and-check critical
-        section; a failure rolls the storage transaction back.
+        section, so the check phase sees exactly this transaction's net
+        Δ; a failure rolls the storage transaction back.  Returns
+        ``(results, epoch)``: the encoded per-statement results and the
+        snapshot epoch the commit published.  The session's transaction
+        scope is closed either way — a failed commit never leaves half a
+        buffer behind.
         """
+        statements = session.take_buffer()
         amos = self.amos
         start = time.perf_counter()
         with self._engine_lock:
@@ -550,129 +522,7 @@ class AmosServer:
             codec.encode_result(statement, result)
             for statement, result in zip(statements, raw)
         ]
-        return results, self.amos.storage.snapshot_epoch, 1
-
-    # -- group commit -------------------------------------------------------------
-
-    def _commit_grouped(self, session: Session, statements: List[object]):
-        """Commit via the group pipeline: enqueue, then lead or follow.
-
-        The request is enqueued BEFORE contending for the engine lock,
-        so while another session's check phase holds the lock, commits
-        pile up in the queue.  Whoever then acquires the lock with its
-        own request still unprocessed becomes the leader and processes
-        the entire queue as one batch; everyone else finds their
-        request already acknowledged (acks happen under the lock) and
-        just returns — or raises — its recorded outcome.
-        """
-        pending = PendingCommit(session, statements)
-        self._commit_queue.put(pending)
-        with self._engine_lock:
-            if not pending.done:
-                self._lead_group_commit(self._commit_queue.drain())
-        # belt and braces: if another leader drained us, it acked before
-        # releasing the lock we just held
-        pending.wait()
-        if pending.error is not None:
-            raise pending.error
-        return pending.results, pending.epoch, pending.batch_size
-
-    def _replay_unit(self, member: PendingCommit):
-        """The member's statements as an ``apply_group`` unit callable."""
-        engine = member.session.engine
-        statements = member.statements
-
-        def unit() -> List[Dict]:
-            raw = [engine.execute_statement(statement) for statement in statements]
-            return [
-                codec.encode_result(statement, result)
-                for statement, result in zip(statements, raw)
-            ]
-
-        return unit
-
-    def _lead_group_commit(self, batch: List[PendingCommit]) -> None:
-        """Apply a drained batch as ONE merged transaction (leader only).
-
-        Runs under the engine lock.  Every member of ``batch`` is
-        acknowledged before this returns — success with results plus
-        the shared epoch, or failure with the member's own exception
-        (savepoint-isolated, so one bad member never sinks the rest).
-        """
-        if not batch:
-            return
-        amos = self.amos
-        rules = amos.rules
-        size = len(batch)
-        start = time.perf_counter()
-        waits_ms = [member.wait_seconds(start) * 1000.0 for member in batch]
-        own_tracer = None
-        if self.observe and tracing.ACTIVE is None:
-            own_tracer = tracing.Tracer()
-            tracing.install(own_tracer)
-        tracer = tracing.ACTIVE
-        span = (
-            tracer.begin(
-                "server.group_commit",
-                members=size,
-                statements=sum(len(m.statements) for m in batch),
-            )
-            if tracer is not None
-            else None
-        )
-        registry_before = rules.last_check_registry
-        try:
-            try:
-                outcomes = amos.apply_group(
-                    [self._replay_unit(member) for member in batch]
-                )
-            finally:
-                if span is not None:
-                    tracer.finish(span)
-                    self.last_commit_trace = span
-                if own_tracer is not None:
-                    tracing.uninstall()
-        except BaseException as exc:
-            # apply_group with serial retry only raises before any
-            # member ran; whatever happened, nobody may stay unacked
-            for member in batch:
-                if not member.done:
-                    member.fail(exc, batch_size=size)
-            return
-        epoch = amos.storage.snapshot_epoch
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        committed = sum(1 for outcome in outcomes if outcome.ok)
-        self._count("server.group_commits")
-        self._count("server.commits", committed)
-        self._count("server.commits_coalesced", max(size - 1, 0))
-        self._observe_histogram("server.commit_queue.batch_size", size)
-        for wait_ms in waits_ms:
-            self._observe_histogram("server.commit_queue.wait_ms", wait_ms)
-        self._observe_histogram("server.commit_ms", elapsed_ms)
-        # stamp the coalescing stats into the commit's own observability
-        # window so last_check_stats() shows them next to the wave's
-        # propagation counters — only if THIS batch opened a new window
-        registry = rules.last_check_registry
-        if registry is not None and registry is not registry_before:
-            registry.counter("server.group_commits").inc()
-            registry.counter("server.commits_coalesced").inc(max(size - 1, 0))
-            registry.histogram("server.commit_queue.batch_size").observe(size)
-            for wait_ms in waits_ms:
-                registry.histogram("server.commit_queue.wait_ms").observe(wait_ms)
-        for member, outcome in zip(batch, outcomes):
-            if outcome.ok:
-                with self._stats_lock:
-                    counters = member.session.counters
-                    counters["commits"] += 1
-                    counters["statements"] += len(member.statements)
-                    if size > 1:
-                        counters["commits_coalesced"] += 1
-                self._count("server.statements", len(member.statements))
-                member.succeed(
-                    outcome.value, epoch, size, retried=outcome.retried
-                )
-            else:
-                member.fail(outcome.error, batch_size=size)
+        return results, self.amos.storage.snapshot_epoch
 
     # -- metrics ------------------------------------------------------------------
 
@@ -749,7 +599,6 @@ def serve(
     observe: bool = True,
     script: Optional[str] = None,
     idle_timeout: Optional[float] = None,
-    group_commit: bool = False,
     wal_dir: Optional[str] = None,
     out=None,
 ) -> int:
@@ -771,7 +620,6 @@ def serve(
         observe=observe,
         explain=True,
         idle_timeout=idle_timeout,
-        group_commit=group_commit,
         wal_dir=wal_dir,
     )
     register_print_procedures(server.amos, out)
@@ -789,8 +637,7 @@ def serve(
         )
     print(
         f"repro server listening on {server.address[0]}:{server.address[1]} "
-        f"(mode={mode}, idle_timeout={idle_timeout}, "
-        f"group_commit={group_commit}, wal_dir={wal_dir})",
+        f"(mode={mode}, idle_timeout={idle_timeout}, wal_dir={wal_dir})",
         file=out,
         flush=True,
     )

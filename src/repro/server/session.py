@@ -64,9 +64,6 @@ class Session:
         self.counters: Dict[str, int] = {
             "statements": 0,
             "commits": 0,
-            #: commits of this session that shared a group-commit batch
-            #: with at least one other transaction (docs/SERVER.md)
-            "commits_coalesced": 0,
             "rollbacks": 0,
             "errors": 0,
             "queries_ro": 0,

@@ -50,14 +50,12 @@ class CommittedTransaction:
     when the listener runs (the one this commit published under
     ``auto_publish``).  ``events`` counts the raw physical events, so a
     churn transaction that nets to nothing is distinguishable from a
-    read-only one.  ``group`` carries the group-commit batch boundary
-    when the transaction was an ``apply_group`` merge.
+    read-only one.
     """
 
     epoch: int
     deltas: Dict[str, DeltaSet]
     events: int
-    group: Optional[Dict] = None
 
 
 CommitListener = Callable[[CommittedTransaction], None]
@@ -100,9 +98,6 @@ class Database:
         self._commit_listeners: List[CommitListener] = []
         #: catalog listeners observe committed create/drop of relations
         self._catalog_listeners: List[CatalogListener] = []
-        #: set by the group-commit leader around its merged commit so
-        #: commit listeners can record the batch boundary
-        self.group_meta: Optional[Dict] = None
 
     # -- catalog ---------------------------------------------------------------
 
@@ -321,7 +316,6 @@ class Database:
             epoch=self._snapshot.epoch,
             deltas=deltas,
             events=len(events),
-            group=self.group_meta,
         )
         for listener in self._commit_listeners:
             listener(committed)

@@ -22,6 +22,7 @@ import os
 import tempfile
 from typing import Callable, Dict, Optional
 
+from repro.algebra.delta import DeltaSet
 from repro.amos.oid import OID
 from repro.errors import StorageError
 from repro.storage.database import Database
@@ -30,7 +31,9 @@ FORMAT_VERSION = 1
 
 __all__ = [
     "dump",
+    "diff",
     "restore",
+    "read",
     "save",
     "load",
     "encode_value",
@@ -94,11 +97,13 @@ def dump(db: Database) -> Dict:
     return {"format": FORMAT_VERSION, "relations": relations}
 
 
-def restore(db: Database, snapshot: Dict, create_missing: bool = False) -> int:
-    """Load a snapshot into ``db``; returns the number of rows loaded.
+def diff(
+    db: Database, snapshot: Dict, create_missing: bool = False
+) -> Dict[str, DeltaSet]:
+    """The net Δ-map that turns ``db``'s current state into ``snapshot``'s.
 
-    Existing relation contents are replaced.  Relations present in the
-    snapshot but missing from the catalog are created when
+    Only relations the snapshot names appear in it.  Relations present
+    in the snapshot but missing from the catalog are created when
     ``create_missing`` is set, otherwise rejected — loading data into a
     database whose schema does not know the relation is almost always a
     schema-version mistake.
@@ -108,7 +113,7 @@ def restore(db: Database, snapshot: Dict, create_missing: bool = False) -> int:
             f"unsupported snapshot format {snapshot.get('format')!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    loaded = 0
+    deltas: Dict[str, DeltaSet] = {}
     for name, payload in snapshot["relations"].items():
         if not db.has_relation(name):
             if not create_missing:
@@ -123,11 +128,31 @@ def restore(db: Database, snapshot: Dict, create_missing: bool = False) -> int:
                 f"relation {name!r}: snapshot arity {payload['arity']} does "
                 f"not match catalog arity {relation.arity}"
             )
-        relation.clear()
-        for encoded in payload["rows"]:
-            relation.insert(tuple(decode_value(v) for v in encoded))
-            loaded += 1
-    return loaded
+        rows = frozenset(
+            tuple(decode_value(v) for v in encoded) for encoded in payload["rows"]
+        )
+        current = relation.rows()
+        delta = DeltaSet(rows - current, current - rows)
+        if delta:
+            deltas[name] = delta
+    return deltas
+
+
+def restore(db: Database, snapshot: Dict, create_missing: bool = False) -> int:
+    """Load a snapshot into ``db``; returns the number of rows loaded.
+
+    Existing relation contents are replaced: the :func:`diff` is applied
+    through :meth:`Database.apply_committed`, beneath the transaction
+    machinery.
+    """
+    db.apply_committed(diff(db, snapshot, create_missing))
+    return sum(len(payload["rows"]) for payload in snapshot["relations"].values())
+
+
+def read(path: str) -> Dict:
+    """The snapshot dict in a JSON file written by :func:`save`."""
+    with open(path) as handle:
+        return json.load(handle)
 
 
 def save(
@@ -174,6 +199,4 @@ def save(
 
 def load(db: Database, path: str, create_missing: bool = False) -> int:
     """Restore ``db`` from a JSON file written by :func:`save`."""
-    with open(path) as handle:
-        snapshot = json.load(handle)
-    return restore(db, snapshot, create_missing=create_missing)
+    return restore(db, read(path), create_missing=create_missing)

@@ -8,9 +8,7 @@ acknowledged to the caller:
 
 * a **commit** record carries the transaction's net Δ-set per base
   relation (exactly the logical events of section 4.1, after
-  cancellation), the snapshot epoch the commit published, and the
-  group-commit batch boundary when the transaction was an
-  ``apply_group`` merge;
+  cancellation) and the snapshot epoch the commit published;
 * a **rule** record marks an ``activate``/``deactivate`` so recovery can
   rebuild the monitor set;
 * a **catalog** record marks a base-relation create/drop so replay works
@@ -133,7 +131,7 @@ def decode_delta_map(encoded: Mapping[str, Mapping]) -> Dict[str, DeltaSet]:
 class WalRecord:
     """One committed record of the write-ahead log.
 
-    ``kind`` is ``"commit"`` (epoch + net Δ-sets + group boundary),
+    ``kind`` is ``"commit"`` (epoch + net Δ-sets),
     ``"rule"`` (activate/deactivate) or ``"catalog"`` (relation
     create/drop).  ``lsn`` is the log sequence number, strictly
     increasing across segment boundaries.
@@ -152,10 +150,6 @@ class WalRecord:
     @property
     def deltas(self) -> Dict[str, DeltaSet]:
         return decode_delta_map(self.data.get("deltas", {}))
-
-    @property
-    def group(self) -> Optional[Dict]:
-        return self.data.get("group")
 
     def payload(self) -> Dict:
         """The JSON-ready payload dict this record frames to."""
@@ -256,7 +250,7 @@ class WriteAheadLog:
     checksums, truncates a torn tail record in the last segment, and
     positions appends after the last valid record.  Appends are framed,
     written unbuffered, and fsync'd (``fsync=False`` trades durability
-    for speed — benchmarks and group-commit amortization studies).
+    for speed — benchmarks).
 
     A failed append *poisons* the log: the in-memory commit that was
     being logged is not durable, so every later append raises
@@ -403,17 +397,11 @@ class WriteAheadLog:
 
     # -- appending --------------------------------------------------------------
 
-    def append_commit(
-        self,
-        epoch: int,
-        deltas: Mapping[str, DeltaSet],
-        group: Optional[Mapping[str, int]] = None,
-    ) -> WalRecord:
-        """One committed transaction: net Δ-sets + epoch (+ group meta)."""
-        data: Dict = {"epoch": epoch, "deltas": encode_delta_map(deltas)}
-        if group:
-            data["group"] = dict(group)
-        return self._append("commit", data)
+    def append_commit(self, epoch: int, deltas: Mapping[str, DeltaSet]) -> WalRecord:
+        """One committed transaction: net Δ-sets + epoch."""
+        return self._append(
+            "commit", {"epoch": epoch, "deltas": encode_delta_map(deltas)}
+        )
 
     def append_rule(self, op: str, rule: str, params: Sequence = ()) -> WalRecord:
         """A rule ``activate``/``deactivate`` (monitor-set recovery)."""

@@ -1,31 +1,27 @@
-"""Property tests for the delta-union algebra behind the n-ary merge.
+"""Property tests for the delta-union algebra behind every Δ accumulator.
 
-Group commit (``docs/SERVER.md``) merges the per-relation delta-sets
-of several member transactions via :func:`delta_union_all` and runs ONE
-check phase over the result.  Its correctness rests on the algebraic
-facts pinned here:
+A transaction's delta-sets fold its physical events in occurrence order
+(:class:`MutableDelta`), and the check phase folds each wave's condition
+Δ into a rule's pending change the same way.  Both are left folds of
+:meth:`DeltaSet.union`; their correctness rests on the algebraic facts
+pinned here:
 
 * **disjointness** — ``plus & minus == ∅`` survives every operation;
-* **cancellation** — an insert/delete pair across members nets out;
+* **cancellation** — an insert followed by a delete of the row nets out;
 * **commutativity** — the *formula* is symmetric in its operands;
-* **associativity on sequentially compatible chains** — the deltas of
-  consecutive committed transactions (each applicable to the state its
-  predecessors produced) fold the same way however you group the fold,
-  so "merge as they arrive" equals "one merged transaction";
+* **associativity on sequentially compatible chains** — changes that
+  each apply to the state their predecessors produced fold the same way
+  however you group the fold;
 * **non-associativity in general** — the documented counterexample:
-  arbitrary disjoint pairs do NOT associate, which is why the merge
-  must fold in occurrence order.
+  arbitrary disjoint pairs do NOT associate, which is why every fold
+  runs in occurrence order.
 """
+
+from functools import reduce
 
 from hypothesis import given, strategies as st
 
-from repro.algebra.delta import (
-    DeltaSet,
-    MutableDelta,
-    apply_delta,
-    delta_union,
-    delta_union_all,
-)
+from repro.algebra.delta import DeltaSet, MutableDelta, apply_delta, delta_union
 
 rows = st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=5)
 
@@ -64,6 +60,11 @@ def compatible_chain(draw, min_size=2, max_size=5):
     return start, chain
 
 
+def fold(chain):
+    """Left fold of :meth:`DeltaSet.union` in occurrence order."""
+    return reduce(DeltaSet.union, chain, DeltaSet())
+
+
 @given(delta_sets(), delta_sets())
 def test_union_preserves_disjointness(a, b):
     merged = delta_union(a, b)
@@ -77,18 +78,18 @@ def test_union_formula_is_commutative(a, b):
 
 @given(rows)
 def test_cancellation_nets_to_nothing(universe):
-    """+row followed by -row (across members) leaves no trace."""
+    """+row followed by -row leaves no trace."""
     inserts = DeltaSet(plus=universe)
     deletes = DeltaSet(minus=universe)
     assert delta_union(inserts, deletes).empty
-    assert delta_union_all([inserts, deletes]).empty
+    assert fold([inserts, deletes]).empty
 
 
 @given(compatible_chain())
 def test_fold_equals_state_difference(start_and_chain):
-    """The n-ary fold IS the net logical change of the whole chain."""
+    """The fold IS the net logical change of the whole chain."""
     start, chain = start_and_chain
-    merged = delta_union_all(chain)
+    merged = fold(chain)
     final = start
     for delta in chain:
         final = apply_delta(final, delta)
@@ -102,16 +103,14 @@ def test_fold_equals_state_difference(start_and_chain):
 def test_associative_on_compatible_chains(start_and_chain):
     """Any grouping of a sequentially compatible fold agrees."""
     _, chain = start_and_chain
-    left = delta_union_all(chain)
+    left = fold(chain)
     # right-to-left grouping: a ∪ (b ∪ (c ∪ ...))
     right = chain[-1]
     for delta in reversed(chain[:-1]):
         right = delta_union(delta, right)
     # split at every point: (prefix fold) ∪ (suffix fold)
     for cut in range(1, len(chain)):
-        split = delta_union(
-            delta_union_all(chain[:cut]), delta_union_all(chain[cut:])
-        )
+        split = delta_union(fold(chain[:cut]), fold(chain[cut:]))
         assert split == left
     assert right == left
 
@@ -121,9 +120,8 @@ def test_not_associative_in_general():
 
     ``b`` deletes a row ``a`` just inserted (fine — they cancel), but
     ``c`` deletes it AGAIN — no sequential state admits that, and the
-    grouping changes the answer.  This is why ``delta_union_all`` folds
-    in occurrence order and why the group-commit merge accumulates
-    members in arrival order.
+    grouping changes the answer.  This is why every Δ accumulator
+    folds in occurrence order.
     """
     x = (1, 1)
     a = DeltaSet(plus={x})

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-ARTIFACTS = ("checkphase", "joinkernel", "groupcommit", "wal", "replication")
+ARTIFACTS = ("checkphase", "joinkernel", "wal", "replication")
 
 
 def baseline_path(artifact):

@@ -1,7 +1,7 @@
 """One committed Δ-record, two consumers, one end state.
 
 A seeded primary produces one record stream — plain commits, churn that
-nets to nothing, an ``apply_group`` batch, relation create/drop, rule
+nets to nothing, a multi-item transaction, relation create/drop, rule
 flips, object create + delete — and every consumer of a committed
 record replays it:
 
@@ -68,15 +68,9 @@ def drive(engine):
         before = amos.value("f", nodes[2])
         amos.set_value("f", (nodes[2],), 77)
         amos.set_value("f", (nodes[2],), before)
-    outcomes = amos.apply_group(  # one merged commit record
-        [
-            (lambda n, v: lambda: amos.set_value("f", (n,), v))(
-                node, rng.randint(1, 9)
-            )
-            for node in nodes[:3]
-        ]
-    )
-    assert all(outcome.ok for outcome in outcomes)
+    with amos.transaction():  # one multi-item commit record
+        for node in nodes[:3]:
+            amos.set_value("f", (node,), rng.randint(1, 9))
     doomed = amos.create_object("node")  # object create + delete
     amos.set_value("f", (doomed,), 4)
     amos.delete_object(doomed)

@@ -149,15 +149,11 @@ class TestConvergence:
         finally:
             replica.stop()
 
-    def test_group_commit_boundaries_replicate(self, tmp_path):
+    def test_concurrent_sessions_replicate(self, tmp_path):
         from .conftest import make_workload
 
         workload = make_workload()
-        primary = AmosServer(
-            amos=workload.amos,
-            wal_dir=str(tmp_path / "p-wal"),
-            group_commit=True,
-        )
+        primary = AmosServer(amos=workload.amos, wal_dir=str(tmp_path / "p-wal"))
         primary.start()
         primary.workload = workload
         replica = start_replica(primary, tmp_path)

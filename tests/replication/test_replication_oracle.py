@@ -6,7 +6,6 @@ the replica IS the primary (extensions, epoch, monitor set, active
 rules).  Hypothesis drives a random interleaving of:
 
 * committed transactions (single- and multi-update),
-* group-commit batches (``apply_group`` merged check phases),
 * rollback churn (epochs the primary mints that never reach the WAL —
   the replica's epoch sequence must simply skip them),
 * rule deactivate/activate (rule records on the stream),
@@ -41,10 +40,6 @@ op_st = st.one_of(
         st.just("multi"),
         st.lists(st.tuples(index_st, quantity_st), min_size=2, max_size=3),
     ),
-    st.tuples(
-        st.just("group"),
-        st.lists(st.tuples(index_st, quantity_st), min_size=2, max_size=3),
-    ),
     st.tuples(st.just("churn"), index_st, quantity_st),
     st.tuples(st.just("rule"), st.booleans()),
     st.tuples(st.just("kill")),
@@ -76,17 +71,6 @@ def apply_op(workload, op):
         for index, quantity in op[1]:
             amos.set_value("quantity", (workload.items[index],), quantity)
         amos.commit()
-    elif kind == "group":
-
-        def unit(index, quantity):
-            def run():
-                amos.set_value(
-                    "quantity", (workload.items[index],), quantity
-                )
-
-            return run
-
-        amos.apply_group([unit(i, q) for i, q in op[1]])
     elif kind == "churn":
         _, index, quantity = op
         amos.begin()

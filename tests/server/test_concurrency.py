@@ -22,18 +22,17 @@ from tests.obs.test_property_obs import script
 SEED = 7
 
 
-def run_on_server(n_items, thread_scripts, observe=True, **server_kwargs):
+def run_on_server(n_items, thread_scripts, observe=True):
     """Run one transaction script per concurrent client session.
 
     Each script is ``[(ops, commit), ...]`` with ops ``(global item
-    index, quantity)``.  Extra ``server_kwargs`` reach the
-    :class:`AmosServer` (e.g. ``group_commit=True``).  Returns
-    ``(workload, server)`` after ``server.stop()`` — stats and traces
-    remain readable.
+    index, quantity)``.  Every commit is its own check phase under the
+    engine lock.  Returns ``(workload, server)`` after ``server.stop()``
+    — stats and traces remain readable.
     """
     workload = build_inventory(n_items, seed=SEED)
     workload.activate()
-    server = AmosServer(amos=workload.amos, observe=observe, **server_kwargs)
+    server = AmosServer(amos=workload.amos, observe=observe)
     server.start()
     host, port = server.address
     barrier = threading.Barrier(len(thread_scripts))

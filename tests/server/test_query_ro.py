@@ -148,7 +148,6 @@ class TestEpochPinnedReads:
                     writer.execute("set quantity(:a) = 11;")
                 committed = writer.last_commit_epoch
                 assert committed == server.amos.snapshot_epoch
-                assert writer.last_commit_coalesced == 1  # serial server
                 rows = reader.query_ro(QUERY, epoch=committed)
                 assert sorted(rows) == [(11,), (50,)]
 

@@ -3,10 +3,9 @@
 The server owns the WAL lifecycle (``docs/SERVER.md``): with
 ``wal_dir`` set, ``start()`` recovers the log before accepting
 connections and every acked commit is durable.  These tests drive the
-full loop over real sockets — including a group-commit batch, whose
-batch boundary rides the commit record — then boot a SECOND server
-over the same directory from a fresh schema bootstrap and assert the
-recovered database answers queries identically.
+full loop over real sockets, then boot a SECOND server over the same
+directory from a fresh schema bootstrap and assert the recovered
+database answers queries identically.
 """
 
 import pytest
@@ -78,61 +77,6 @@ class TestServerDurability:
             assert stats["wal"] is not None
             assert stats["counters"]["wal.recovered_commits"] == 2
             assert stats["wal"]["appended_records"] >= 1  # the new commit
-        finally:
-            restarted.stop()
-
-    def test_group_commit_batch_is_durable_with_its_boundary(self, tmp_path):
-        import threading
-
-        first = fresh_workload()
-        server = start_server(first, tmp_path, group_commit=True)
-        host, port = server.address
-        n = 3
-        errors = [None] * n
-        buffered = threading.Barrier(n + 1)
-
-        def member(index):
-            try:
-                with AmosClient(host, port, timeout=30.0) as client:
-                    client.bind(f"i{index}", first.items[index])
-                    client.begin()
-                    client.execute(f"set quantity(:i{index}) = {120 + index};")
-                    buffered.wait(timeout=30.0)
-                    client.commit()
-            except BaseException as exc:  # noqa: BLE001
-                errors[index] = exc
-
-        threads = [
-            threading.Thread(target=member, args=(index,))
-            for index in range(n)
-        ]
-        with server._engine_lock:
-            for thread in threads:
-                thread.start()
-            buffered.wait(timeout=30.0)
-            import time
-
-            deadline = time.monotonic() + 30.0
-            while len(server._commit_queue) < n:
-                assert time.monotonic() < deadline
-                time.sleep(0.002)
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert errors == [None] * n
-        server.stop()
-
-        second = fresh_workload()
-        restarted = start_server(second, tmp_path)
-        try:
-            report = restarted.last_recovery
-            assert report.commits == 1  # ONE merged commit record
-            assert (
-                second.amos.snapshot_extensions()
-                == first.amos.snapshot_extensions()
-            )
-            # the batch boundary survived in the log
-            last = list(second.amos.wal.records())[-1]
-            assert last.group == {"members": n, "applied": n}
         finally:
             restarted.stop()
 

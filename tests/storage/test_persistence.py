@@ -211,3 +211,82 @@ class TestAmosPersistence:
         item1 = engine.get("item1")
         fresh.amos.set_value("quantity", (item1,), 100)
         assert orders == [(item1, 4900)]
+
+    def test_load_under_a_wal_survives_a_restart(self, tmp_path):
+        """The load is one logged commit: recovery reads what the live
+        database reads, at the same epoch."""
+        from tests.conftest import make_inventory_engine
+
+        wal_dir = str(tmp_path / "wal")
+        engine, _ = make_inventory_engine()
+        engine.amos.open_wal(wal_dir)
+        item1 = engine.get("item1")
+        engine.amos.set_value("quantity", (item1,), 77)
+        path = str(tmp_path / "inventory.json")
+        engine.amos.save_data(path)
+        engine.amos.set_value("quantity", (item1,), 88)
+        engine.amos.load_data(path)
+        assert engine.amos.value("quantity", item1) == 77
+        engine.amos.close()
+
+        recovered, _ = make_inventory_engine()
+        recovered.amos.open_wal(wal_dir)
+        assert recovered.amos.value("quantity", item1) == 77
+        assert recovered.amos.snapshot_extensions() == engine.amos.snapshot_extensions()
+        assert recovered.amos.snapshot_epoch == engine.amos.snapshot_epoch
+        recovered.amos.close()
+
+    @pytest.mark.parametrize("mode", ["incremental", "naive"])
+    def test_load_rebaselines_the_monitoring_engine(self, tmp_path, mode):
+        """The next check phase differences against the loaded state: a
+        nervous rule does not fire for a row the load put in its
+        condition when an unrelated item changes."""
+        from tests.conftest import make_inventory_engine
+
+        engine, _ = make_inventory_engine(mode)
+        item1, item2 = engine.get("item1"), engine.get("item2")
+        engine.amos.set_value("quantity", (item1,), 100)
+        path = str(tmp_path / "inventory.json")
+        engine.amos.save_data(path)
+
+        fresh, orders = make_inventory_engine(mode)
+        fresh.execute(
+            """
+            create rule watch_low() as
+                when for each item i where quantity(i) < threshold(i)
+                nervous do order(i, max_stock(i) - quantity(i));
+            activate watch_low();
+            """
+        )
+        fresh.amos.load_data(path)
+        fresh.amos.set_value("quantity", (item2,), 4000)
+        assert orders == []
+        fresh.amos.set_value("quantity", (item1,), 5000)
+        fresh.amos.set_value("quantity", (item1,), 100)
+        assert orders == [(item1, 4900)]
+
+    def test_load_inside_a_transaction_is_rejected(self, tmp_path):
+        from tests.conftest import make_inventory_engine
+
+        engine, _ = make_inventory_engine()
+        path = str(tmp_path / "inventory.json")
+        engine.amos.save_data(path)
+        engine.amos.begin()
+        with pytest.raises(TransactionError):
+            engine.amos.load_data(path)
+        engine.amos.rollback()
+
+    def test_load_rejects_relations_the_schema_does_not_know(self, tmp_path):
+        from tests.conftest import make_inventory_engine
+
+        engine, _ = make_inventory_engine()
+        engine.amos.storage.create_relation("extra", 1)
+        path = str(tmp_path / "inventory.json")
+        engine.amos.save_data(path)
+
+        fresh, _ = make_inventory_engine()
+        epoch = fresh.amos.snapshot_epoch
+        with pytest.raises(StorageError):
+            fresh.amos.load_data(path)
+        assert not fresh.amos.storage.has_relation("extra")
+        assert fresh.amos.snapshot_epoch == epoch

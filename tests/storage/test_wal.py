@@ -3,7 +3,8 @@
 The fault-point and oracle coverage lives in ``tests/fault``; these
 tests pin the log's own mechanics — record kinds, lsn monotonicity,
 segment handling, corruption classification — and the AmosDatabase
-wiring (rule/catalog records, group boundaries, read-only commits).
+wiring (rule/catalog records, legacy group boundaries, read-only
+commits).
 """
 
 import os
@@ -147,26 +148,59 @@ class TestDatabaseWiring:
         assert last.epoch == amos.snapshot_epoch
         amos.detach_wal()
 
-    def test_group_commit_records_the_batch_boundary(self, tmp_path):
-        amos = walled(tmp_path)
-        items = amos.create_objects("item", 2)
+    def test_legacy_group_commit_frames_still_replay(self, tmp_path):
+        """Older logs carry a ``group`` key in some commit records (the
+        batch boundary of a since-removed group commit).  It stays in
+        ``record.data``; recovery and a live replica ignore it."""
+        from repro.amos.oid import OID
+        from repro.replication import ReplicaServer
+        from repro.server.server import AmosServer
+        from repro.storage.wal import encode_delta_map
 
-        def unit_for(item, value):
-            return lambda: amos.set_value("quantity", (item,), value)
+        a, b = OID(1, "item"), OID(2, "item")
+        grouped = {
+            "item": DeltaSet({(a,), (b,)}),
+            "quantity": DeltaSet({(a, 1), (b, 2)}),
+        }
+        later = {"quantity": DeltaSet({(a, 7)}, {(a, 1)})}
+        log_dir = str(tmp_path / "legacy")
+        with WriteAheadLog(log_dir) as wal:
+            wal.append_record(
+                WalRecord(
+                    "commit",
+                    0,
+                    {
+                        "epoch": 3,
+                        "deltas": encode_delta_map(grouped),
+                        "group": {"members": 3, "applied": 2},
+                    },
+                )
+            )
+            wal.append_commit(4, later)
+        expected = {(a, 7), (b, 2)}
 
-        def failing():
-            raise RuntimeError("member fails")
+        recovered = recover(log_dir, amos=make_amos(), attach=False)
+        assert recovered.storage.relation("quantity").rows() == expected
+        assert recovered.snapshot_epoch == 4
+        assert recovered.create_object("item").id == 3
 
-        outcomes = amos.apply_group(
-            [unit_for(items[0], 1), failing, unit_for(items[1], 2)]
-        )
-        assert [o.ok for o in outcomes] == [True, False, True]
-        last = list(amos.wal.records())[-1]
-        assert last.group == {"members": 3, "applied": 2}
-        # serial (non-group) commits carry no boundary
-        amos.set_value("quantity", (items[0],), 7)
-        assert list(amos.wal.records())[-1].group is None
-        amos.detach_wal()
+        primary = AmosServer(amos=make_amos(), wal_dir=log_dir).start()
+        replica = ReplicaServer(
+            primary=primary.address,
+            factory=make_amos,
+            wal_dir=str(tmp_path / "replica"),
+        ).start()
+        try:
+            assert replica.wait_for_epoch(4, timeout=30.0), replica.apply_error
+            assert replica.amos.storage.relation("quantity").rows() == expected
+            assert replica.amos.snapshot_epoch == 4
+        finally:
+            replica.stop()
+            primary.stop()
+        # the replica's own copy keeps the frame verbatim, key and all
+        with WriteAheadLog(str(tmp_path / "replica")) as copy:
+            first = next(copy.records())
+        assert first.data["group"] == {"members": 3, "applied": 2}
 
     def test_rule_toggles_recover_the_monitor_set(self, tmp_path):
         live = build_inventory(3, seed=5, explain=True)

@@ -74,6 +74,8 @@ OPTION_SURFACE = {
     "repro.objectlog.evaluate:Evaluator": (4, set()),
     "repro.algebra.oldstate:NewStateView": (1, set()),
     "repro.storage.wal:recover": (3, {"directory", "wal_options"}),
+    "repro.server.server:AmosServer": (8, {"amos", "amos_options"}),
+    "repro.server.server:serve": (7, {"out"}),
 }
 
 
