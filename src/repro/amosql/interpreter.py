@@ -159,29 +159,22 @@ class AmosqlEngine:
         statement = parse(select_text + ";")[0]
         if not isinstance(statement, ast.SelectStatement):
             raise AmosError("explain_query() expects a select statement")
-        compiler = QueryCompiler(self.amos, self.iface)
+        program = ProgramOverlay(self.amos.program)
+        compiler = QueryCompiler(self.amos, self.iface, program=program)
         compiled = compiler.compile_select(statement.query, "_query")
         lines = []
-        try:
-            for index, clause in enumerate(compiled.clauses):
-                ordered = order_body(clause.body, self.amos.program)
-                lines.append(f"clause {index}: {clause.head!r} <-")
-                for literal in ordered:
-                    lines.append(f"    {literal!r}")
-            influents = set()
-            for clause in compiled.clauses:
-                for literal in clause.pred_literals():
-                    pred = self.amos.program.predicate(literal.pred)
-                    if pred.kind == "base":
-                        influents.add(literal.pred)
-                    else:
-                        influents |= self.amos.program.base_influents(
-                            literal.pred
-                        )
-            lines.append(f"base influents: {sorted(influents)}")
-        finally:
-            for aux in compiled.aux_predicates:
-                self.amos.program.drop(aux)
+        for index, clause in enumerate(compiled.clauses):
+            lines.append(f"clause {index}: {clause.head!r} <-")
+            for literal in order_body(clause.body, program):
+                lines.append(f"    {literal!r}")
+        influents = set()
+        for clause in compiled.clauses:
+            for literal in clause.pred_literals():
+                if program.predicate(literal.pred).kind == "base":
+                    influents.add(literal.pred)
+                else:
+                    influents |= program.base_influents(literal.pred)
+        lines.append(f"base influents: {sorted(influents)}")
         return "\n".join(lines)
 
     # -- dispatch ------------------------------------------------------------------
@@ -379,26 +372,20 @@ class AmosqlEngine:
     # -- queries --------------------------------------------------------------------------
 
     def _select(self, query: ast.SelectQuery, snapshot=None) -> List[Row]:
+        # auxiliary NOT-predicates go into a local overlay that is
+        # dropped with it, so the shared program is never touched —
+        # whether the select succeeds or fails, on or off the lock
+        program = ProgramOverlay(self.amos.program)
         if snapshot is None:
-            program = self.amos.program
             view = NewStateView(self.amos.storage)
         else:
-            # read-only: auxiliary NOT-predicates go into a local
-            # overlay so the shared program is never touched off-lock,
-            # and evaluation reads only the immutable snapshot
-            program = ProgramOverlay(self.amos.program)
             view = SnapshotView(snapshot)
         compiler = QueryCompiler(self.amos, self.iface, program=program)
         compiled = compiler.compile_select(query, "_select")
         evaluator = Evaluator(program, view)
         rows = set()
-        try:
-            for clause in compiled.clauses:
-                rows.update(evaluator.solve_clause(clause))
-        finally:
-            if snapshot is None:
-                for aux in compiled.aux_predicates:
-                    self.amos.program.drop(aux)
+        for clause in compiled.clauses:
+            rows.update(evaluator.solve_clause(clause))
         return sorted(rows, key=repr)
 
     # -- runtime expression evaluation ------------------------------------------------------

@@ -1,7 +1,6 @@
 """ObjectLog: typed Datalog with builtins (the paper's section 3.2 substrate)."""
 
 from repro.objectlog.clause import HornClause
-from repro.objectlog.dependency import DependencyNetwork
 from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.expand import expand_clause, expand_predicate, substitute_literal
 from repro.objectlog.literals import Assignment, Comparison, Literal, PredLiteral
@@ -23,7 +22,6 @@ from repro.objectlog.terms import (
 
 __all__ = [
     "HornClause",
-    "DependencyNetwork",
     "Evaluator",
     "expand_clause",
     "expand_predicate",

@@ -136,32 +136,17 @@ class Evaluator:
     # -- public API ---------------------------------------------------------------
 
     def solve_body(
-        self,
-        body: Iterable[Literal],
-        env: Optional[Env] = None,
-        static: bool = False,
+        self, body: Iterable[Literal], env: Optional[Env] = None
     ) -> Iterator[Env]:
-        """All environments satisfying the conjunction ``body``.
-
-        With ``static=True`` the literals are executed exactly in the
-        given order (no per-step scheduling) — for bodies pre-ordered by
-        :func:`repro.objectlog.optimize.order_body`, e.g. compiled
-        partial differentials.
-        """
-        if static:
-            yield from self._solve_static(tuple(body), 0, dict(env or {}))
-        else:
-            yield from self._solve(list(body), dict(env or {}))
+        """All environments satisfying the conjunction ``body``."""
+        yield from self._solve(list(body), dict(env or {}))
 
     def solve_clause(
-        self,
-        clause: HornClause,
-        env: Optional[Env] = None,
-        static: bool = False,
+        self, clause: HornClause, env: Optional[Env] = None
     ) -> Iterator[Row]:
         """Head rows produced by one clause (may contain duplicates)."""
         head_args = clause.head.args
-        for solution in self.solve_body(clause.body, env, static=static):
+        for solution in self.solve_body(clause.body, env):
             yield tuple(
                 solution[a] if isinstance(a, Variable) else a for a in head_args
             )
@@ -231,16 +216,6 @@ class Evaluator:
         rest = literals[:index] + literals[index + 1 :]
         for extended in self._eval_literal(literal, env):
             yield from self._solve(rest, extended)
-
-    def _solve_static(
-        self, literals: Tuple[Literal, ...], index: int, env: Env
-    ) -> Iterator[Env]:
-        """Evaluate a pre-ordered body with no runtime scheduling."""
-        if index == len(literals):
-            yield env
-            return
-        for extended in self._eval_literal(literals[index], env):
-            yield from self._solve_static(literals, index + 1, extended)
 
     def _pick(self, literals: List[Literal], env: Env) -> int:
         best_index = -1

@@ -13,7 +13,7 @@ the paper's function taxonomy (section 3):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Set
 
 from repro.errors import (
     DuplicateRelationError,
@@ -276,29 +276,6 @@ class Program:
             for pred in self.influent_closure(name)
             if isinstance(self.predicate(pred), BasePredicate)
         )
-
-    def level_of(self, name: str) -> int:
-        """Longest path from a base/foreign predicate (base level 0)."""
-        cache: Dict[str, int] = {}
-
-        def level(pred_name: str, trail: Tuple[str, ...]) -> int:
-            if pred_name in trail:
-                raise RecursionNotSupportedError(
-                    f"recursive dependency through {pred_name!r}"
-                )
-            if pred_name in cache:
-                return cache[pred_name]
-            influents = self.direct_influents(pred_name)
-            if not influents:
-                result = 0
-            else:
-                result = 1 + max(
-                    level(i, trail + (pred_name,)) for i in influents
-                )
-            cache[pred_name] = result
-            return result
-
-        return level(name, ())
 
     def negated_references(self, name: str) -> FrozenSet[str]:
         """Predicates referenced under negation anywhere below ``name``."""

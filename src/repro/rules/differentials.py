@@ -48,21 +48,20 @@ class PartialDifferentialClause:
         Database state the non-delta literals are evaluated in:
         ``"new"`` for output_sign ``"+"``, ``"old"`` for ``"-"``.
     clause:
-        The executable Horn clause (head = P's head, one delta literal).
+        The executable Horn clause (head = P's head, one delta literal);
+        on a network edge, its body in the static order the plan runs.
     occurrence:
         Index of the replaced literal in the source clause body —
         distinguishes self-join occurrences of the same influent.
-    static:
-        True when ``clause`` body is statically pre-ordered
-        (:func:`repro.objectlog.optimize.order_body`) and may be
-        evaluated without runtime scheduling.
     plan:
         Compiled set-at-a-time execution plan
-        (:class:`repro.objectlog.batch.ClausePlan`), attached at
-        network-construction time and cached on the network edge for
-        the lifetime of the activation.  ``None`` when no safe static
-        order exists; the propagator then falls back to the
-        tuple-at-a-time evaluator for this differential.
+        (:class:`repro.objectlog.batch.ClausePlan`), attached when the
+        propagation network adds the differential to an edge and kept
+        for the lifetime of the activation.  Every differential on a
+        network edge has one: a differential without a safe static
+        order fails rule activation with
+        :class:`~repro.errors.UnsafeClauseError`.  ``None`` only as
+        returned by :func:`generate_differentials`.
     """
 
     target: str
@@ -72,7 +71,6 @@ class PartialDifferentialClause:
     state: str
     clause: HornClause
     occurrence: int
-    static: bool = False
     plan: Optional[object] = field(default=None, compare=False, repr=False)
 
     def label(self) -> str:
@@ -87,9 +85,9 @@ def generate_differentials(
     target: str,
     clauses: Iterable[HornClause],
     influents: FrozenSet[str],
-    negatives: bool = True,
 ) -> List[PartialDifferentialClause]:
-    """All partial differentials of ``target`` w.r.t. ``influents``.
+    """All partial differentials of ``target`` w.r.t. ``influents``:
+    one positive and one negative per influent occurrence.
 
     Parameters
     ----------
@@ -98,12 +96,6 @@ def generate_differentials(
     influents:
         Names of predicates that are nodes of the propagation network
         below ``target`` — only their occurrences get differentials.
-    negatives:
-        Also generate the negative differentials.  Conditions that
-        provably depend only on insertions can skip them (paper
-        section 4.4: "often the rule condition depends only on
-        positive changes"), but strict semantics and net-change
-        tracking require them.
     """
     out: List[PartialDifferentialClause] = []
     for clause in clauses:
@@ -113,21 +105,15 @@ def generate_differentials(
             if literal.pred not in influents or literal.delta is not None:
                 continue
             if not literal.negated:
-                out.append(
-                    _positive_occurrence(target, clause, index, literal)
-                )
-                if negatives:
-                    out.append(
-                        _negative_occurrence(target, clause, index, literal)
-                    )
+                out.append(_positive_occurrence(target, clause, index, literal))
+                out.append(_negative_occurrence(target, clause, index, literal))
             else:
                 out.append(
                     _negated_positive_occurrence(target, clause, index, literal)
                 )
-                if negatives:
-                    out.append(
-                        _negated_negative_occurrence(target, clause, index, literal)
-                    )
+                out.append(
+                    _negated_negative_occurrence(target, clause, index, literal)
+                )
     return out
 
 

@@ -34,7 +34,11 @@ class MonitoringEngine:
 
     #: set by the manager: condition name -> base influents
     def rebuild(self, conditions: Mapping[str, FrozenSet[str]]) -> None:
-        """(Re)configure for the given monitored conditions."""
+        """(Re)configure for the given monitored conditions.
+
+        All or nothing: the new configuration is built aside and
+        swapped in only once complete, so a raise (an unsafe or
+        recursive condition) leaves the engine as it was."""
         raise NotImplementedError
 
     def process(
@@ -80,25 +84,21 @@ class IncrementalEngine(MonitoringEngine):
         db: Database,
         program: Program,
         shared_nodes: FrozenSet[str] = frozenset(),
-        negatives: bool = True,
         wcoj: bool = True,
     ) -> None:
         self.db = db
         self.program = program
         self.shared_nodes = frozenset(shared_nodes)
-        self.negatives = negatives
         #: WCOJ kernel selection for multi-way differentials (either state)
         self.wcoj = wcoj
-        self.network = PropagationNetwork(program, negatives=negatives, wcoj=wcoj)
-        self._propagator = Propagator(program, db, self.network)
+        self.rebuild({})
 
     def rebuild(self, conditions: Mapping[str, FrozenSet[str]]) -> None:
-        self.network = PropagationNetwork(
-            self.program, negatives=self.negatives, wcoj=self.wcoj
-        )
+        network = PropagationNetwork(self.program, wcoj=self.wcoj)
         for condition in sorted(conditions):
-            self.network.add_condition(condition, keep=self.shared_nodes)
-        self._propagator = Propagator(self.program, self.db, self.network)
+            network.add_condition(condition, keep=self.shared_nodes)
+        self._propagator = Propagator(self.program, self.db, network)
+        self.network = network
 
     def process(
         self, base_deltas: Mapping[str, DeltaSet], trace: bool = False
@@ -128,11 +128,11 @@ class NaiveEngine(MonitoringEngine):
         self._previous: Dict[str, FrozenSet[Row]] = {}
 
     def rebuild(self, conditions: Mapping[str, FrozenSet[str]]) -> None:
-        self._influents = dict(conditions)
         evaluator = Evaluator(self.program, NewStateView(self.db))
         self._previous = {
             condition: evaluator.extension(condition) for condition in conditions
         }
+        self._influents = dict(conditions)
 
     def process(
         self, base_deltas: Mapping[str, DeltaSet], trace: bool = False

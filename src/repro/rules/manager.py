@@ -78,7 +78,6 @@ class RuleManager:
         explain: bool = False,
         max_iterations: int = 1000,
         conflict_resolver: Callable = default_conflict_resolver,
-        negatives: bool = True,
         processing: str = "deferred",
         observe: bool = False,
         wcoj: bool = True,
@@ -120,8 +119,7 @@ class RuleManager:
         self.current_firing: Optional[FiredRule] = None
         if mode == "incremental":
             self.engine: MonitoringEngine = IncrementalEngine(
-                db, program, shared_nodes=shared_nodes, negatives=negatives,
-                wcoj=wcoj,
+                db, program, shared_nodes=shared_nodes, wcoj=wcoj
             )
         elif mode == "naive":
             self.engine = NaiveEngine(db, program)
@@ -153,21 +151,24 @@ class RuleManager:
     # -- activation ----------------------------------------------------------------
 
     def activate(self, name: str, params: Tuple = ()) -> Activation:
+        """Activate ``name`` for ``params``.  Compiles the condition's
+        partial differentials; an unsafe or recursive condition raises
+        and leaves the manager exactly as it was."""
         rule = self.rule(name)
         key = (name, tuple(params))
         if key in self._activations:
             raise RuleActivationError(f"rule {name!r}{params!r} is already active")
         activation = Activation(rule, tuple(params))
-        self._activations[key] = activation
-        self._reconfigure()
+        self._reconfigure({**self._activations, key: activation})
         return activation
 
     def deactivate(self, name: str, params: Tuple = ()) -> None:
         key = (name, tuple(params))
         if key not in self._activations:
             raise RuleActivationError(f"rule {name!r}{params!r} is not active")
-        del self._activations[key]
-        self._reconfigure()
+        activations = dict(self._activations)
+        del activations[key]
+        self._reconfigure(activations)
 
     def is_active(self, name: str, params: Tuple = ()) -> bool:
         return (name, tuple(params)) in self._activations
@@ -175,24 +176,33 @@ class RuleManager:
     def active_rules(self) -> List[Tuple[str, Tuple]]:
         return sorted(self._activations)
 
-    def _conditions(self) -> Dict[str, FrozenSet[str]]:
+    def _conditions(
+        self, activations: Mapping[Tuple[str, Tuple], Activation]
+    ) -> Dict[str, FrozenSet[str]]:
         """Monitored condition -> base influents."""
         out: Dict[str, FrozenSet[str]] = {}
-        for activation in self._activations.values():
+        for activation in activations.values():
             condition = activation.rule.condition
             if condition not in out:
                 out[condition] = self.program.base_influents(condition)
         return out
 
-    def _reconfigure(self) -> None:
-        conditions = self._conditions()
+    def _reconfigure(self, activations: Dict[Tuple[str, Tuple], Activation]) -> None:
+        """Switch to ``activations``: everything that can fail (influent
+        closure, relation lookup, the engine's rebuild) runs before the
+        first change, so a raise changes nothing."""
+        conditions = self._conditions(activations)
         needed = frozenset().union(*conditions.values()) if conditions else frozenset()
-        for name in needed - self._monitored:
+        added = needed - self._monitored
+        for name in added:
+            self.db.relation(name)
+        self.engine.rebuild(conditions)
+        for name in added:
             self.db.monitor(name)
         for name in self._monitored - needed:
             self.db.unmonitor(name)
         self._monitored = needed
-        self.engine.rebuild(conditions)
+        self._activations = activations
 
     def resync_engine(self) -> None:
         """Re-baseline the engine's materialized state from the database.
@@ -204,7 +214,7 @@ class RuleManager:
         it from the recovered relations so the next check phase
         differences against the correct previous state.
         """
-        self.engine.rebuild(self._conditions())
+        self.engine.rebuild(self._conditions(self._activations))
         self._dirty = False
 
     # -- the check phase ---------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The propagation network (paper Fig. 2 / section 7.1).
+"""The propagation network (paper Figs. 1-2 / section 7.1).
 
-The propagation network is the dependency network augmented with
-partial differentials: nodes are base relations and monitored derived
+The rule compiler's one graph: the dependency network of Fig. 1 (which
+predicate influences which, with bottom-up levels) whose edges carry
+partial differentials.  Nodes are base relations and monitored derived
 predicates; every edge ``X -> P`` carries the partial differential
-clauses ``dP/d+X`` and ``dP/d-X``.
+clauses ``dP/d+X`` and ``dP/d-X``, each ordered and compiled once when
+the condition is added.
 
 Two construction modes, matching the paper:
 
@@ -28,6 +30,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.algebra.delta import MutableDelta
 from repro.errors import PropagationError
+from repro.objectlog.batch import compile_plan
 from repro.objectlog.clause import HornClause
 from repro.objectlog.expand import expand_predicate
 from repro.objectlog.optimize import order_clause
@@ -105,18 +108,8 @@ class NetworkEdge:
 class PropagationNetwork:
     """Nodes, edges, and differentials for a set of monitored conditions."""
 
-    def __init__(
-        self,
-        program: Program,
-        negatives: bool = True,
-        optimize: bool = True,
-        wcoj: bool = True,
-    ) -> None:
+    def __init__(self, program: Program, wcoj: bool = True) -> None:
         self.program = program
-        self.negatives = negatives
-        #: statically pre-order differential bodies at compile time (the
-        #: paper's per-differential query optimization, section 1)
-        self.optimize = optimize
         #: let the plan compiler fuse multi-way joins into a
         #: worst-case-optimal kernel (differentials in either state;
         #: see repro.objectlog.join)
@@ -130,7 +123,13 @@ class PropagationNetwork:
     def add_condition(
         self, name: str, keep: FrozenSet[str] = frozenset()
     ) -> NetworkNode:
-        """Add (or re-add) a monitored condition and everything below it."""
+        """Add (or re-add) a monitored condition and everything below it.
+
+        Raises :class:`~repro.errors.UnsafeClauseError` when a partial
+        differential has no safe static order, and
+        :class:`~repro.errors.RecursionNotSupportedError` on a recursive
+        condition.  A network that raised is left partly built: callers
+        build a fresh network and swap it in only on success."""
         node = self._build(name, frozenset(keep), frozenset())
         node.is_root = True
         self._recompute_levels()
@@ -156,16 +155,15 @@ class PropagationNetwork:
             return node
         node = self.nodes.setdefault(name, NetworkNode(name, "derived"))
         # expand, keeping shared nodes and stopping at negation
-        negated = self._negated_below(name, keep)
-        effective_keep = keep | negated
-        clauses = expand_predicate(self.program, name, keep=effective_keep)
+        clauses = expand_predicate(
+            self.program, name, keep=keep | self._negated_below(name)
+        )
         node.clauses = clauses
         influents = self._clause_influents(clauses)
-        differentials = generate_differentials(
-            name, clauses, influents, negatives=self.negatives
-        )
-        if self.optimize:
-            differentials = [self._optimize(d) for d in differentials]
+        differentials = [
+            self._optimize(d)
+            for d in generate_differentials(name, clauses, influents)
+        ]
         for influent in sorted(influents):
             child = self._build(influent, keep, stack | {name})
             edge = self._edge(child, node)
@@ -174,25 +172,13 @@ class PropagationNetwork:
                     edge.add(differential)
         return node
 
-    def _negated_below(self, name: str, keep: FrozenSet[str]) -> FrozenSet[str]:
+    def _negated_below(self, name: str) -> FrozenSet[str]:
         """Derived predicates referenced under negation below ``name``."""
-        out: Set[str] = set()
-        seen: Set[str] = set()
-
-        def visit(pred: str) -> None:
-            if pred in seen:
-                return
-            seen.add(pred)
-            for clause in self.program.clauses_of(pred):
-                for literal in clause.pred_literals():
-                    definition = self.program.predicate(literal.pred)
-                    if literal.negated and isinstance(definition, DerivedPredicate):
-                        out.add(literal.pred)
-                    if isinstance(definition, DerivedPredicate):
-                        visit(literal.pred)
-
-        visit(name)
-        return frozenset(out)
+        return frozenset(
+            pred
+            for pred in self.program.negated_references(name)
+            if isinstance(self.program.predicate(pred), DerivedPredicate)
+        )
 
     @staticmethod
     def _clause_influents(clauses: List[HornClause]) -> FrozenSet[str]:
@@ -206,31 +192,22 @@ class PropagationNetwork:
     def _optimize(
         self, differential: PartialDifferentialClause
     ) -> PartialDifferentialClause:
-        """Statically pre-order a differential's body and compile it to
-        a set-at-a-time :class:`~repro.objectlog.batch.ClausePlan`
-        (compile once at activation, execute every transaction).  Falls
-        back to the dynamic scheduler when no safe static order
-        exists.
+        """Statically order a differential's body and compile it to a
+        set-at-a-time :class:`~repro.objectlog.batch.ClausePlan`
+        (compile once at activation, execute every transaction).
+        Raises :class:`~repro.errors.UnsafeClauseError` when no safe
+        static order exists — exactly when the condition itself is
+        unsafe, since the orderer and the dynamic scheduler share one
+        executability rule.
 
         With :attr:`wcoj` the compiler cost-selects the WCOJ kernel for
         multi-way bodies in either state: an old-state differential's
         kernel reads :meth:`~repro.algebra.oldstate.RolledBack.trie_index`,
         the live trie patched by the delta on its paths.
         """
-        from repro.errors import UnsafeClauseError
-        from repro.objectlog.batch import compile_plan
-
-        try:
-            ordered = order_clause(differential.clause, self.program)
-        except UnsafeClauseError:
-            return differential
-        try:
-            plan = compile_plan(ordered, self.program, wcoj=self.wcoj)
-        except UnsafeClauseError:  # pragma: no cover - ordered bodies compile
-            plan = None
-        return dataclasses.replace(
-            differential, clause=ordered, static=True, plan=plan
-        )
+        ordered = order_clause(differential.clause, self.program)
+        plan = compile_plan(ordered, self.program, wcoj=self.wcoj)
+        return dataclasses.replace(differential, clause=ordered, plan=plan)
 
     def _edge(self, source: NetworkNode, target: NetworkNode) -> NetworkEdge:
         key = (source.name, target.name)

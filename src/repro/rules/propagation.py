@@ -29,10 +29,9 @@ evaluators per run (new-state and old-state) whose derived-predicate
 memos amortize across the whole wave front, and negative candidates
 are guarded by ONE derivability test per differential
 (:meth:`~repro.objectlog.evaluate.Evaluator.derivable` on the new-state
-evaluator) instead of one top-down derivation per tuple.  A
-differential with no safe static order falls back to the
-tuple-at-a-time evaluator (``solve_clause``) on the same two
-evaluators.
+evaluator) instead of one top-down derivation per tuple.  The network
+compiles every differential at activation, so the check phase never
+schedules a body at run time.
 """
 
 from __future__ import annotations
@@ -101,12 +100,10 @@ class Propagator:
         program: Program,
         db: Database,
         network: PropagationNetwork,
-        guard_negatives: bool = True,
     ) -> None:
         self.program = program
         self.db = db
         self.network = network
-        self.guard_negatives = guard_negatives
         #: statistics of the last run (differentials executed, tuples produced)
         self.last_trace: Optional[PropagationTrace] = None
         #: rows currently materialized across all node delta-sets,
@@ -272,17 +269,9 @@ class Propagator:
         )
         evaluator = self._new_eval if differential.state == "new" else self._old_eval
         evaluator.set_delta(differential.influent, source_delta)
-        plan = differential.plan
-        if plan is not None:
-            produced = frozenset(plan.rows(evaluator))
-        else:
-            produced = frozenset(
-                evaluator.solve_clause(
-                    differential.clause, static=differential.static
-                )
-            )
+        produced = frozenset(differential.plan.rows(evaluator))
         guarded_away: FrozenSet[Row] = frozenset()
-        if produced and differential.output_sign == "-" and self.guard_negatives:
+        if produced and differential.output_sign == "-":
             # section 7.2: a deletion candidate still derivable in the
             # new state is dropped, all candidates in one test
             if reg is not None:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.amos.oid import OID
 from repro.amosql.interpreter import AmosqlEngine
-from repro.errors import AmosError
+from repro.errors import AmosError, UnknownFunctionError
 
 
 @pytest.fixture
@@ -91,6 +91,15 @@ class TestSelect:
     def test_aux_predicates_cleaned_up(self, engine):
         before = set(engine.amos.program.names())
         engine.query("select i for each item i where not (quantity(i) = 10)")
+        assert set(engine.amos.program.names()) == before
+
+    def test_failing_select_leaves_no_aux_predicates(self, engine):
+        before = set(engine.amos.program.names())
+        with pytest.raises(UnknownFunctionError):
+            engine.query(
+                "select i for each item i "
+                "where not quantity(i) = 3 and ghost(i) = 1"
+            )
         assert set(engine.amos.program.names()) == before
 
     def test_query_rejects_non_select(self, engine):

@@ -4,8 +4,7 @@ Section 7.1 presents node sharing as a pure execution-strategy choice;
 it must never change what a rule observes.  Hypothesis drives random
 transaction streams over a two-level program (a shared ``mid`` view
 between the bases and the condition) and compares the firing histories
-of the flat and the bushy configuration — and, while we're here, of
-the positive-only differential configuration on an insert-only stream.
+of the flat and the bushy configuration.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,7 +20,7 @@ from repro.storage.database import Database
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
 
-def build(shared: bool, negatives: bool = True):
+def build(shared: bool):
     """cond(X,Z) <- mid(X,Y) & r(Y,Z);  mid(X,Y) <- q(X,Y) & Y < 4."""
     db = Database()
     db.create_relation("q", 2)
@@ -44,7 +43,6 @@ def build(shared: bool, negatives: bool = True):
         program,
         mode="incremental",
         shared_nodes=frozenset({"mid"}) if shared else frozenset(),
-        negatives=negatives,
     )
     fired = []
     manager.create_rule(Rule("w", "cond", fired.append))
@@ -88,16 +86,4 @@ class TestSharingProperty:
         db_shared, fired_shared = build(shared=True)
         assert drive(db_flat, fired_flat, ops, sizes) == drive(
             db_shared, fired_shared, ops, sizes
-        )
-
-    @settings(max_examples=30, deadline=None)
-    @given(ops=operations, sizes=cuts)
-    def test_positive_only_matches_on_insert_only_streams(self, ops, sizes):
-        """With no deletions in the stream, the negative differentials
-        never execute — the positive-only network must agree."""
-        insert_only = [(rel, row, True) for rel, row, _ in ops]
-        db_full, fired_full = build(shared=False, negatives=True)
-        db_pos, fired_pos = build(shared=False, negatives=False)
-        assert drive(db_full, fired_full, insert_only, sizes) == drive(
-            db_pos, fired_pos, insert_only, sizes
         )

@@ -9,6 +9,7 @@ from repro.objectlog.literals import PredLiteral
 from repro.objectlog.program import Program
 from repro.objectlog.terms import Variable
 from repro.algebra.oldstate import NewStateView
+from repro.rules.network import PropagationNetwork
 from repro.storage.database import Database
 
 X, V = Variable("X"), Variable("V")
@@ -57,7 +58,9 @@ class TestDeclaration:
         program.declare_aggregate("total", "sales", 1, "sum")
         assert program.direct_influents("total") == {"sales"}
         assert program.base_influents("total") == {"sales"}
-        assert program.level_of("total") == 1
+        network = PropagationNetwork(program)
+        network.add_condition("total")
+        assert network.node("total").level == 1
 
 
 class TestEvaluation:

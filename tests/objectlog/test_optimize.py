@@ -5,6 +5,7 @@ import pytest
 from repro.algebra.delta import DeltaSet
 from repro.algebra.oldstate import NewStateView
 from repro.errors import UnsafeClauseError
+from repro.objectlog.batch import compile_plan
 from repro.objectlog.clause import HornClause
 from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.literals import Assignment, Comparison, PredLiteral
@@ -104,12 +105,6 @@ class TestOrderBody:
         with pytest.raises(UnsafeClauseError):
             order_body([Comparison("<", X, Y)], program)
 
-    def test_cardinality_estimator_breaks_scan_ties(self, program):
-        sizes = {"q": 10, "r": 100000}
-        body = [PredLiteral("r", (Y, Z)), PredLiteral("q", (X, W))]
-        ordered = order_body(body, program, cardinality=sizes.get)
-        assert ordered[0].pred == "q"  # the small scan drives the join
-
     def test_equal_ranks_keep_first_occurrence_order(self, program):
         """Ties resolve to textual order — reordering must be a pure
         function of the body, never of iteration incidentals."""
@@ -183,10 +178,12 @@ class TestOrderedEvaluation:
         ordered = order_clause(clause, program)
         evaluator = Evaluator(program, NewStateView(db))
         dynamic = set(evaluator.solve_clause(clause))
-        static = set(evaluator.solve_clause(ordered, static=True))
+        static = set(compile_plan(ordered, program).rows(evaluator))
         assert dynamic == static == {(1, 10), (1, 20)}
 
     def test_network_marks_differentials_static(self, program):
+        """Every differential on a network edge is statically ordered
+        and compiled at activation."""
         from repro.rules.network import PropagationNetwork
 
         program.declare_derived("cond", 2)
@@ -198,20 +195,6 @@ class TestOrderedEvaluation:
         network.add_condition("cond")
         for edge in network.edges():
             for differential in edge.differentials():
-                assert differential.static
+                assert differential.plan.clause is differential.clause
                 # the delta read leads the ordered body
                 assert differential.clause.body[0].delta is not None
-
-    def test_network_optimization_can_be_disabled(self, program):
-        from repro.rules.network import PropagationNetwork
-
-        program.declare_derived("cond", 2)
-        program.add_clause(HornClause(
-            PredLiteral("cond", (X, Z)),
-            [PredLiteral("q", (X, Y)), PredLiteral("r", (Y, Z))],
-        ))
-        network = PropagationNetwork(program, optimize=False)
-        network.add_condition("cond")
-        for edge in network.edges():
-            for differential in edge.differentials():
-                assert not differential.static

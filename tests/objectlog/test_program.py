@@ -119,10 +119,16 @@ class TestDependencies:
         assert program.base_influents("a") == {"q", "r"}
 
     def test_levels(self, program):
+        """Levels live on the propagation network's nodes: longest path
+        from a base relation (level 0)."""
+        from repro.rules.network import PropagationNetwork
+
         self._chain(program)
-        assert program.level_of("q") == 0
-        assert program.level_of("mid") == 1
-        assert program.level_of("p") == 2
+        network = PropagationNetwork(program)
+        network.add_condition("p", keep=frozenset({"mid"}))
+        assert network.node("q").level == 0
+        assert network.node("mid").level == 1
+        assert network.node("p").level == 2
 
     def test_recursion_detected_in_closure(self, program):
         program.declare_derived("p", 2)
@@ -131,8 +137,6 @@ class TestDependencies:
                                   PredLiteral("p", (Y, Z))))
         with pytest.raises(RecursionNotSupportedError):
             program.influent_closure("p")
-        with pytest.raises(RecursionNotSupportedError):
-            program.level_of("p")
 
     def test_mutual_recursion_detected(self, program):
         program.declare_derived("a", 1)

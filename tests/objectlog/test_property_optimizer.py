@@ -2,9 +2,9 @@
 
 Hypothesis generates random conjunctive bodies (relation reads, delta
 reads, comparisons, negation) over random data and asserts that the
-statically ordered body evaluates to exactly the same solutions as the
-dynamically scheduled one — the optimizer is a pure performance
-transformation.
+statically ordered body, compiled to a plan, evaluates to exactly the
+same solutions as the dynamically scheduled one — the optimizer is a
+pure performance transformation.
 """
 
 from hypothesis import assume, given, settings, strategies as st
@@ -12,11 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.algebra.delta import DeltaSet
 from repro.algebra.oldstate import NewStateView
 from repro.errors import UnsafeClauseError
+from repro.objectlog.batch import compile_plan
+from repro.objectlog.clause import HornClause
 from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.literals import Comparison, PredLiteral
 from repro.objectlog.optimize import order_body
 from repro.objectlog.program import Program
-from repro.objectlog.terms import Variable
+from repro.objectlog.terms import Variable, ordered_variables
 from repro.storage.database import Database
 
 VARS = [Variable(name) for name in "ABCD"]
@@ -84,21 +86,18 @@ class TestOptimizerProperty:
         except UnsafeClauseError:
             assume(False)  # no safe order: nothing to compare
             return
+        head = PredLiteral(
+            "out",
+            tuple(ordered_variables(set().union(*(l.variables() for l in body)))),
+        )
         evaluator = Evaluator(program, NewStateView(db), deltas=deltas)
-
-        def solutions(literals, static):
-            out = set()
-            for env in evaluator.solve_body(literals, static=static):
-                out.add(tuple(sorted((v.name, env[v]) for v in env)))
-            return out
-
         try:
-            dynamic = solutions(body, static=False)
+            dynamic = set(evaluator.solve_clause(HornClause(head, body)))
         except UnsafeClauseError:
             assume(False)
             return
-        static = solutions(ordered, static=True)
-        assert static == dynamic
+        plan = compile_plan(HornClause(head, ordered), program)
+        assert set(plan.rows(evaluator)) == dynamic
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -111,13 +110,9 @@ class TestOptimizerProperty:
     def test_compiled_plans_preserve_solutions(
         self, body, q_rows, r_rows, delta_plus, delta_minus
     ):
-        """The same property one layer up: the compiled plan — pairwise
-        chain AND (where the body fuses) the WCOJ kernel — computes the
-        dynamic scheduler's solutions exactly."""
-        from repro.objectlog.batch import compile_plan
-        from repro.objectlog.clause import HornClause
-        from repro.objectlog.terms import ordered_variables
-
+        """The same property with the join kernel enabled: where the
+        body fuses, the WCOJ kernel computes the dynamic scheduler's
+        solutions exactly (the pairwise chain is the test above)."""
         db = Database()
         db.create_relation("q", 2).bulk_insert(q_rows)
         db.create_relation("r", 2).bulk_insert(r_rows)
@@ -141,11 +136,10 @@ class TestOptimizerProperty:
         try:
             expected = {
                 tuple(env[v] for v in head_vars)
-                for env in evaluator.solve_body(body, static=False)
+                for env in evaluator.solve_body(body)
             }
         except UnsafeClauseError:
             assume(False)
             return
-        for wcoj in (False, True):
-            plan = compile_plan(clause, program, wcoj=wcoj)
-            assert set(plan.rows(evaluator)) == expected, f"wcoj={wcoj}"
+        plan = compile_plan(clause, program, wcoj=True)
+        assert set(plan.rows(evaluator)) == expected

@@ -47,13 +47,6 @@ class TestGeneration:
         labels = sorted(d.label() + d.output_sign for d in differentials)
         assert labels == ["Δp/Δ+q+", "Δp/Δ+r+", "Δp/Δ-q-", "Δp/Δ-r-"]
 
-    def test_positive_only_mode(self):
-        differentials = generate_differentials(
-            "p", [P_CLAUSE], frozenset({"q", "r"}), negatives=False
-        )
-        assert all(d.input_sign == "+" for d in differentials)
-        assert len(differentials) == 2
-
     def test_substitution_structure(self):
         """dP/d+q replaces exactly the q occurrence with a delta read."""
         differentials = generate_differentials("p", [P_CLAUSE], frozenset({"q"}))

@@ -4,7 +4,13 @@ import pytest
 
 from repro.amos.database import AmosDatabase
 from repro.amosql.interpreter import AmosqlEngine
-from repro.errors import RuleActivationError, RuleError, UnknownRuleError
+from repro.errors import (
+    RecursionNotSupportedError,
+    RuleActivationError,
+    RuleError,
+    UnknownRuleError,
+    UnsafeClauseError,
+)
 from repro.objectlog.clause import HornClause
 from repro.objectlog.literals import Comparison, PredLiteral
 from repro.objectlog.program import Program
@@ -15,7 +21,7 @@ from repro.rules.rule import Activation, Rule, default_conflict_resolver
 from repro.server import AmosServer
 from repro.storage.database import Database
 
-X, Y = Variable("X"), Variable("Y")
+X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
 
 def make_db(mode="incremental", **options):
@@ -102,6 +108,75 @@ class TestActivation:
         manager.create_rule(Rule("r", "low", lambda row: None))
         set_value(db, "a", 1)  # no rule active: no deltas, no firing
         assert db.peek_deltas() == {}
+
+
+class TestFailedActivation:
+    """An activation that raises leaves the activations, the monitored
+    relations and the engine exactly as they were."""
+
+    def test_recursive_rule_does_not_poison_later_activations(self):
+        engine = AmosqlEngine()
+        fired = []
+        engine.amos.create_procedure("note", ("item",), fired.append)
+        engine.execute(
+            """
+            create type item;
+            create function quantity(item) -> integer;
+            create item instances :i1;
+            set quantity(:i1) = 50;
+            create rule low() as
+                when for each item i where quantity(i) < 10
+                do note(i);
+            """
+        )
+        amos = engine.amos
+        amos.storage.create_relation("e", 2)
+        amos.program.declare_base("e", 2)
+        amos.program.declare_derived("t", 2)
+        amos.program.add_clause(HornClause(
+            PredLiteral("t", (X, Z)),
+            [PredLiteral("e", (X, Y)), PredLiteral("t", (Y, Z))],
+        ))
+        amos.rules.create_rule(Rule("bad", "t", lambda row: None))
+        network = amos.rules.engine.network
+        with pytest.raises(RecursionNotSupportedError):
+            amos.rules.activate("bad")
+        assert not amos.rules.is_active("bad")
+        assert amos.rules.active_rules() == []
+        assert amos.rules.monitored_relations() == frozenset()
+        assert amos.rules.engine.network is network
+
+        engine.execute("activate low();")
+        assert amos.rules.active_rules() == [("low", ())]
+        assert "quantity" in amos.rules.monitored_relations()
+        engine.execute("set quantity(:i1) = 5;")
+        assert fired == [engine.get("i1")]
+
+    def test_unsafe_condition_fails_at_activation_not_at_commit(self):
+        """``c(X) <- q(X) & X < Y`` never binds Y: no differential has a
+        safe order, so activation raises instead of every later commit
+        that touches q."""
+        db, program, manager = make_db()
+        db.create_relation("q", 1)
+        program.declare_base("q", 1)
+        program.declare_derived("c", 1)
+        program.add_clause(HornClause(
+            PredLiteral("c", (X,)),
+            [PredLiteral("q", (X,)), Comparison("<", X, Y)],
+        ))
+        fired = []
+        manager.create_rule(Rule("unsafe", "c", lambda row: None))
+        manager.create_rule(Rule("r", "low", fired.append))
+        manager.activate("r")
+        with pytest.raises(UnsafeClauseError):
+            manager.activate("unsafe")
+        assert not manager.is_active("unsafe")
+        assert manager.monitored_relations() == {"value"}
+        with db.transaction():
+            db.insert("q", (1,))
+        assert db.relation("q").rows() == {(1,)}
+        set_value(db, "a", 5)
+        assert fired == [("a",)]
 
 
 class TestFiring:

@@ -49,7 +49,7 @@ def apply(db, name, delta):
         relation.delete(row)
 
 
-def make_guard_setup(guard_negatives=True):
+def make_guard_setup():
     """p derivable through q AND q2 (the section-7.2 guard scenario)."""
     db = Database()
     db.create_relation("q", 2).bulk_insert([(1, 1)])
@@ -67,7 +67,7 @@ def make_guard_setup(guard_negatives=True):
     ))
     network = PropagationNetwork(program)
     network.add_condition("p")
-    return db, Propagator(program, db, network, guard_negatives=guard_negatives)
+    return db, Propagator(program, db, network)
 
 
 class TestFlatPropagation:
@@ -136,14 +136,8 @@ class TestGuardedNegatives:
         assert results == {}  # p(1,10) still derivable through q2
         trace = propagator.last_trace
         guarded = [e for e in trace.executions if e.guarded_away]
+        # the raw over-propagated candidate, dropped by the guard
         assert guarded and guarded[0].guarded_away == {(1, 10)}
-
-    def test_unguarded_mode_overreacts(self):
-        db, propagator = make_guard_setup(guard_negatives=False)
-        delta = DeltaSet(set(), {(1, 1)})
-        apply(db, "q", delta)
-        results = propagator.run({"q": delta})
-        assert results["p"].minus == {(1, 10)}  # the raw over-propagation
 
 
 class TestSharedNodePropagation:
@@ -217,32 +211,6 @@ class TestTraceContents:
 
 class TestSetAtATimeExecution:
     """Compiled plans, the two shared run evaluators, batched guards."""
-
-    def test_unplanned_differentials_fall_back_to_the_evaluator(self):
-        """Differentials without a compiled plan (no static order —
-        here: an unoptimized network) run through ``solve_clause`` on
-        the same two run evaluators, with identical results."""
-        for delta in (
-            DeltaSet({(3, 1)}, set()),
-            DeltaSet(set(), {(1, 1)}),
-            DeltaSet({(3, 2)}, {(2, 2)}),
-        ):
-            results = {}
-            for optimize in (True, False):
-                db, program, _, _ = make_setup()
-                network = PropagationNetwork(program, optimize=optimize)
-                network.add_condition("p")
-                assert all(
-                    (d.plan is not None) == optimize
-                    for edge in network.edges()
-                    for d in edge.differentials()
-                )
-                apply(db, "q", delta)
-                results[optimize] = Propagator(program, db, network).run(
-                    {"q": delta}
-                )
-            assert results[True] == results[False]
-            assert results[True]
 
     def test_uncompilable_guard_falls_back_to_per_row_holds(self):
         """A target whose guard cannot be compiled (recorded as None in

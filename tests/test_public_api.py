@@ -69,8 +69,10 @@ class TestSubpackages:
 #: callable -> (independently settable values as ROADMAP's knobs item
 #: counts them, the parameters that count leaves out)
 OPTION_SURFACE = {
-    "repro.rules.manager:RuleManager": (10, {"db", "program"}),
-    "repro.rules.engines:IncrementalEngine": (3, {"db", "program"}),
+    "repro.rules.manager:RuleManager": (9, {"db", "program"}),
+    "repro.rules.engines:IncrementalEngine": (2, {"db", "program"}),
+    "repro.rules.network:PropagationNetwork": (1, {"program"}),
+    "repro.rules.propagation:Propagator": (0, {"program", "db", "network"}),
     "repro.objectlog.evaluate:Evaluator": (4, set()),
     "repro.algebra.oldstate:NewStateView": (1, set()),
     "repro.storage.wal:recover": (3, {"directory", "wal_options"}),
