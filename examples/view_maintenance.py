@@ -1,26 +1,31 @@
-"""Incremental view maintenance with the bare difference calculus.
+"""Incremental view maintenance with the rule compiler's partial differentials.
 
-The rule system sits on top of a reusable calculus (sections 4.5/4.6):
-delta-sets, delta-union, logical rollback, and the Fig.-4 differencing
-rules for the relational operators.  This example uses that layer
-directly — no rules, no AMOSQL — to maintain a join-select view over a
-small orders/customers schema and shows that
+A monitored condition is a view: the propagation network generates its
+partial differentials (sections 4.3-4.6, the same calculus as Fig. 4)
+and the propagator computes the view's delta-set from the base-table
+changes.  This example uses that layer directly — no rules, no AMOSQL —
+to maintain a join-select view over a small orders/customers schema and
+shows that
 
-* the incrementally computed view delta equals the recompute diff, and
+* the incrementally computed view delta (strict semantics: positives
+  that already held before the transaction are dropped) equals the
+  recompute diff, and
 * the OLD state used for negative changes is reconstructed by logical
   rollback, never materialized.
 
 Run:  python examples/view_maintenance.py
 """
 
-from repro.algebra import (
-    DeltaSet,
-    EvalContext,
-    NewStateView,
-    OldStateView,
-    Relation,
-    differentiate,
+from repro.algebra import DeltaSet, NewStateView, OldStateView
+from repro.objectlog import (
+    Comparison,
+    Evaluator,
+    HornClause,
+    PredLiteral,
+    Program,
+    Variable,
 )
+from repro.rules import PropagationNetwork, Propagator
 from repro.storage import Database
 
 db = Database()
@@ -34,14 +39,31 @@ for row in [(10, "north"), (11, "south"), (12, "north")]:
     customers.insert(row)
 
 # view: big northern orders =
-#   sigma[amount>100](orders) |><| sigma[region='north'](customers)
-big_orders = Relation("orders", 3).select(lambda r: r[2] > 100, "amount>100")
-northern = Relation("customers", 2).select(lambda r: r[1] == "north", "region=north")
-view = big_orders.join(northern, pairs=[(1, 0)])
+#   big_north(O, C, A) <- orders(O, C, A) & A > 100 & customers(C, "north")
+O, C, A = Variable("O"), Variable("C"), Variable("A")
+program = Program()
+program.declare_base("orders", 3)
+program.declare_base("customers", 2)
+program.declare_derived("big_north", 3)
+program.add_clause(HornClause(
+    PredLiteral("big_north", (O, C, A)),
+    [
+        PredLiteral("orders", (O, C, A)),
+        Comparison(">", A, 100),
+        PredLiteral("customers", (C, "north")),
+    ],
+))
 
-ctx0 = EvalContext(NewStateView(db), OldStateView(db, {}))
-before = view.evaluate(ctx0)
-print("view before:", sorted(before))
+network = PropagationNetwork(program)
+network.add_condition("big_north")
+propagator = Propagator(program, db, network)
+for edge in network.edges():
+    for differential in edge.differentials():
+        label = f"{differential.label()} [{differential.state}]"
+        print(f"{label:34} {differential.clause}")
+
+before = Evaluator(program, NewStateView(db)).extension("big_north")
+print("\nview before:", sorted(before))
 
 # --- a batch of base-table changes ------------------------------------------
 delta_orders = DeltaSet(
@@ -62,17 +84,19 @@ for row in delta_customers.minus:
     customers.delete(row)
 
 deltas = {"orders": delta_orders, "customers": delta_customers}
-ctx = EvalContext(NewStateView(db), OldStateView(db, deltas), deltas)
 
-# incremental: Fig.-4 rules composed over the expression tree;
-# negative candidates are guarded against the new state (section 7.2)
-view_delta = differentiate(view, ctx, exact=True)
+# incremental: the view's partial differentials, breadth-first bottom-up;
+# negative candidates are guarded against the new state (section 7.2),
+# positives that already held before the change are dropped (strict)
+raw = propagator.run(deltas).get("big_north", DeltaSet())
+held = propagator.held_before("big_north", raw.plus, deltas)
+view_delta = DeltaSet(raw.plus - held, raw.minus)
 print("incremental  Δ+ :", sorted(view_delta.plus))
 print("incremental  Δ- :", sorted(view_delta.minus))
 
 # ground truth by recomputation in both states (old state via rollback!)
-after = view.evaluate(ctx, "new")
-old = view.evaluate(ctx, "old")
+after = Evaluator(program, NewStateView(db)).extension("big_north")
+old = Evaluator(program, OldStateView(db, deltas)).extension("big_north")
 assert old == before, "logical rollback must reproduce the initial state"
 truth = DeltaSet(after - old, old - after)
 print("recompute    Δ+ :", sorted(truth.plus))

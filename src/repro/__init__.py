@@ -4,17 +4,16 @@ Efficient Monitoring of Deferred Complex Rule Conditions" (ICDE 1996).
 The package layers, bottom-up:
 
 * :mod:`repro.storage`  — relations, indexes, undo/redo log, transactions
-* :mod:`repro.algebra`  — delta-sets, delta-union, logical rollback,
-  partial differencing of the relational operators (Fig. 4)
+* :mod:`repro.algebra`  — delta-sets, delta-union, logical rollback
 * :mod:`repro.objectlog` — typed Datalog (ObjectLog): clauses, evaluation,
   full expansion, static ordering and compiled plans
 * :mod:`repro.amos`     — the functional data model (types, OIDs,
   stored/derived/foreign functions, procedures)
 * :mod:`repro.amosql`   — the AMOSQL language front end
-* :mod:`repro.rules`    — the paper's contribution: partial differentials,
-  the propagation network (the dependency network of Fig. 1 with
-  differentials on its edges), the breadth-first bottom-up propagation
-  algorithm, rule management with
+* :mod:`repro.rules`    — the paper's contribution: partial differentials
+  (Fig. 4's operator table among them), the propagation network (the
+  dependency network of Fig. 1 with differentials on its edges), the
+  breadth-first bottom-up propagation algorithm, rule management with
   strict/nervous semantics, plus the naive baseline
 * :mod:`repro.bench`    — workload generators and measurement harness for
   the paper's performance figures

@@ -1,4 +1,8 @@
-"""The difference calculus: delta-sets, logical rollback, and Fig.-4 differencing."""
+"""The difference calculus: delta-sets, delta-union and logical rollback.
+
+Fig. 4's partial differencing of the relational operators is generated
+by the rule compiler itself (:func:`repro.rules.differentials.fig4_table`).
+"""
 
 from repro.algebra.delta import (
     EMPTY_DELTA,
@@ -8,26 +12,6 @@ from repro.algebra.delta import (
     apply_delta,
     delta_union,
     rollback_delta,
-)
-from repro.algebra.differencing import (
-    PartialDifferential,
-    differentiate,
-    evaluate_delta,
-    fig4_table,
-    operator_differentials,
-)
-from repro.algebra.expression import (
-    DeltaLeaf,
-    Difference,
-    EvalContext,
-    Expression,
-    Intersect,
-    Join,
-    Product,
-    Project,
-    Relation,
-    Select,
-    Union,
 )
 from repro.algebra.oldstate import NewStateView, OldStateView, RolledBack, StateView
 
@@ -39,22 +23,6 @@ __all__ = [
     "apply_delta",
     "delta_union",
     "rollback_delta",
-    "PartialDifferential",
-    "differentiate",
-    "evaluate_delta",
-    "fig4_table",
-    "operator_differentials",
-    "DeltaLeaf",
-    "Difference",
-    "EvalContext",
-    "Expression",
-    "Intersect",
-    "Join",
-    "Product",
-    "Project",
-    "Relation",
-    "Select",
-    "Union",
     "NewStateView",
     "OldStateView",
     "RolledBack",

@@ -16,17 +16,28 @@ Occurrences under *negation* flip the signs (section 4.5,
 ``delta(~Q) = <delta-Q, delta+Q>``): deletions from X can make P gain
 tuples, insertions can make it lose them.  A guard literal re-checks
 the negation in the evaluation state so only genuine transitions pass.
+
+Fig. 4 (section 4.6) is this same generator applied to one ObjectLog
+condition per relational operator (:func:`fig4_programs`), rendered by
+:func:`fig4_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.objectlog.clause import HornClause
-from repro.objectlog.literals import PredLiteral
+from repro.objectlog.literals import Comparison, PredLiteral
+from repro.objectlog.program import Program
+from repro.objectlog.terms import Variable
 
-__all__ = ["PartialDifferentialClause", "generate_differentials"]
+__all__ = [
+    "PartialDifferentialClause",
+    "fig4_programs",
+    "fig4_table",
+    "generate_differentials",
+]
 
 
 @dataclass(frozen=True)
@@ -181,3 +192,64 @@ def _negated_negative_occurrence(
         clause=replaced,
         occurrence=index,
     )
+
+
+def fig4_programs() -> Dict[str, Program]:
+    """One program per row of Fig. 4: ``p`` defined by one relational
+    operator over the base relations ``q/2`` and ``r/2``, keyed by the
+    row's label, in the paper's order."""
+    X, Y, Z, W = (Variable(name) for name in "XYZW")
+
+    def q(*args):
+        return PredLiteral("q", args)
+
+    def r(*args):
+        return PredLiteral("r", args)
+
+    def p(*args):
+        return PredLiteral("p", args)
+
+    shapes = {
+        "σ_cond Q": [HornClause(p(X, Y), [q(X, Y), Comparison("<=", X, 2)])],
+        "π_attr Q": [HornClause(p(X), [q(X, Y)])],
+        "Q ∪ R": [HornClause(p(X, Y), [q(X, Y)]), HornClause(p(X, Y), [r(X, Y)])],
+        "Q - R": [
+            HornClause(p(X, Y), [q(X, Y), PredLiteral("r", (X, Y), negated=True)])
+        ],
+        "Q × R": [HornClause(p(X, Y, Z, W), [q(X, Y), r(Z, W)])],
+        "Q ⋈ R": [HornClause(p(X, Y, W), [q(X, Y), r(Y, W)])],
+        "Q ∩ R": [HornClause(p(X, Y), [q(X, Y), r(X, Y)])],
+    }
+    programs: Dict[str, Program] = {}
+    for label, clauses in shapes.items():
+        program = Program()
+        program.declare_base("q", 2)
+        program.declare_base("r", 2)
+        program.declare_derived("p", clauses[0].head.arity)
+        for clause in clauses:
+            program.add_clause(clause)
+        programs[label] = program
+    return programs
+
+
+def fig4_table() -> Dict[str, Dict[str, str]]:
+    """Fig. 4 rendered from :func:`generate_differentials`.
+
+    Rows are the operators of :func:`fig4_programs`; a column
+    ``ΔP/Δ±Q`` / ``ΔP/Δ±R`` holds the differential clause reading that
+    side of the influent's delta, tagged with the state it is evaluated
+    in and the sign of its output, e.g.
+    ``p(X, Y) <- Δ+q(X, Y) & r(X, Y) [new, +]``.
+    """
+    table: Dict[str, Dict[str, str]] = {}
+    for label, program in fig4_programs().items():
+        differentials = generate_differentials(
+            "p", program.clauses_of("p"), frozenset({"q", "r"})
+        )
+        table[label] = {
+            f"ΔP/Δ{d.input_sign}{d.influent.upper()}": (
+                f"{d.clause!r} [{d.state}, {d.output_sign}]"
+            )
+            for d in differentials
+        }
+    return table

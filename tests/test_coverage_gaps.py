@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.algebra import operators as ops
 from repro.algebra.delta import DeltaSet
 from repro.algebra.oldstate import OldStateView
 from repro.objectlog.clause import HornClause
@@ -14,21 +13,6 @@ from repro.algebra.oldstate import NewStateView
 from repro.storage.database import Database
 
 X, Y = Variable("X"), Variable("Y")
-
-
-class TestOperatorsComplement:
-    def test_complement_relative_to_domain(self):
-        rows = {(1,), (2,)}
-        domain = {(1,), (2,), (3,), (4,)}
-        assert ops.complement(rows, domain) == {(3,), (4,)}
-
-    def test_equijoin_empty_pairs_is_product(self):
-        left = {(1,)}
-        right = {(2,), (3,)}
-        assert ops.equijoin(left, right, []) == {(1, 2), (1, 3)}
-
-    def test_project_deduplicates(self):
-        assert ops.project({(1, "a"), (1, "b")}, (0,)) == {(1,)}
 
 
 class TestClauseHelpers:
