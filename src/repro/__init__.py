@@ -3,7 +3,7 @@ Efficient Monitoring of Deferred Complex Rule Conditions" (ICDE 1996).
 
 The package layers, bottom-up:
 
-* :mod:`repro.storage`  — relations, indexes, undo/redo log, transactions
+* :mod:`repro.storage`  — relations, indexes, transactions as net Δ-maps
 * :mod:`repro.algebra`  — delta-sets, delta-union, logical rollback
 * :mod:`repro.objectlog` — typed Datalog (ObjectLog): clauses, evaluation,
   full expansion, static ordering and compiled plans

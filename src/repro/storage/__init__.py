@@ -1,11 +1,10 @@
-"""Storage substrate: relations, indexes, undo/redo log, transactions,
-savepoints, versioned snapshots, JSON data persistence, and the durable
-write-ahead Δ-log (``repro.storage.wal``)."""
+"""Storage substrate: relations, indexes, transactions recorded as one
+net Δ-map each, versioned snapshots, JSON data persistence, and the
+durable write-ahead Δ-log (``repro.storage.wal``)."""
 
 from repro.storage import persistence, wal
 from repro.storage.database import CommittedTransaction, Database
 from repro.storage.index import HashIndex
-from repro.storage.log import EventKind, PhysicalEvent, UndoRedoLog
 from repro.storage.relation import BaseRelation
 from repro.storage.snapshot import DatabaseSnapshot, SnapshotView
 from repro.storage.wal import RecoveryReport, WalRecord, WriteAheadLog, recover
@@ -16,9 +15,6 @@ __all__ = [
     "CommittedTransaction",
     "Database",
     "HashIndex",
-    "EventKind",
-    "PhysicalEvent",
-    "UndoRedoLog",
     "BaseRelation",
     "DatabaseSnapshot",
     "SnapshotView",

@@ -76,3 +76,20 @@ def inventory_active():
     engine, orders = make_inventory_engine(explain=True)
     engine.execute("activate monitor_items();")
     return engine, orders
+
+
+def assert_indexes_agree_with_scans(storage):
+    """Every maintained index of every relation agrees with a full scan
+    (the first few keys per index)."""
+    for name in storage.relation_names():
+        relation = storage.relation(name)
+        for columns, index in relation.indexes.items():
+            assert len(index) == len(relation), (name, columns)
+            for key in list(index.keys())[:5]:
+                by_index = index.probe(key)
+                by_scan = frozenset(
+                    row
+                    for row in relation.rows()
+                    if tuple(row[c] for c in columns) == key
+                )
+                assert by_index == by_scan, (name, columns, key)

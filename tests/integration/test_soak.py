@@ -5,7 +5,8 @@ rule-triggered cascades — against the full stack and checks structural
 invariants after every transaction:
 
 * indexes agree with full scans,
-* delta accumulators are empty between transactions,
+* delta accumulators and the transaction Δ-map are empty between
+  transactions,
 * propagation-network delta-sets are empty between transactions,
 * the condition's materialized truth (recomputed from scratch) agrees
   with what the strict rule has reported over time,
@@ -18,6 +19,7 @@ import pytest
 
 from repro.bench.workload import build_inventory
 from repro.obs import metrics
+from tests.conftest import assert_indexes_agree_with_scans
 
 STEPS = 150
 
@@ -26,18 +28,7 @@ def invariant_check(workload):
     amos = workload.amos
     storage = amos.storage
     # 1. indexes consistent with scans
-    for name in storage.relation_names():
-        relation = storage.relation(name)
-        for columns, index in relation.indexes.items():
-            assert len(index) == len(relation), (name, columns)
-            for key in list(index.keys())[:5]:
-                by_index = index.probe(key)
-                by_scan = frozenset(
-                    row
-                    for row in relation.rows()
-                    if tuple(row[c] for c in columns) == key
-                )
-                assert by_index == by_scan, (name, columns, key)
+    assert_indexes_agree_with_scans(storage)
     # 2. no delta residue between transactions
     assert not storage.has_pending_changes()
     # 3. no wave-front residue
@@ -46,8 +37,8 @@ def invariant_check(workload):
     if network is not None:
         for node in network.nodes.values():
             assert node.delta.empty, node
-    # 4. log empty outside transactions
-    assert len(storage.log) == 0
+    # 4. transaction Δ-map empty outside transactions
+    assert not storage._txn
 
 
 def run_soak(mode: str, seed: int):

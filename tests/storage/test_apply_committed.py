@@ -4,7 +4,10 @@ The net Δ-map a commit listener sees (``CommittedTransaction.deltas`` —
 what the WAL logs, the stream ships and the pool backlog holds) is a
 complete description of the commit: applying it to a copy beneath the
 transaction / rule machinery reproduces the state, rule-action effects
-included, at the same epoch; applying it again changes nothing.
+included, at the same epoch; applying it again changes nothing.  A
+transaction that rolls back, or aborts in its check phase, is one that
+never ran: no listener fires and the copy, which applies nothing, still
+equals the live database.
 """
 
 import pytest
@@ -15,15 +18,21 @@ from repro.algebra.delta import DeltaSet
 from repro.amosql.interpreter import AmosqlEngine
 from repro.errors import SnapshotEpochError
 from repro.storage.database import Database
+from tests.conftest import assert_indexes_agree_with_scans
 
 SCHEMA = """
 create type node;
 create function f(node) -> integer;
 create function g(node) -> integer;
+create function h(node) -> integer;
 create rule ra() as
     when for each node n where f(n) > 0
     do bump(n);
 activate ra();
+create rule rb() as
+    when for each node n where h(n) > 0
+    do boom(n);
+activate rb();
 create node instances :a, :b, :c;
 """
 
@@ -34,6 +43,7 @@ def build():
     amos.create_procedure(
         "bump", ("node",), lambda n: amos.set_value("g", (n,), amos.value("f", n))
     )
+    amos.create_procedure("boom", ("node",), boom)
     engine.execute(SCHEMA)
     amos.storage.auto_publish = True
     amos.storage.publish_snapshot()
@@ -46,6 +56,14 @@ OPS = st.one_of(
     st.tuples(st.just("create")),
     st.tuples(st.just("delete"), st.integers(0, 9)),
 )
+
+
+class Boom(Exception):
+    pass
+
+
+def boom(node):
+    raise Boom(node)
 
 
 def execute(amos, op):
@@ -62,16 +80,37 @@ def execute(amos, op):
             amos.delete_object(node)
 
 
+ENDINGS = st.sampled_from(["commit", "rollback", "abort"])
+
+
 @settings(max_examples=60, deadline=None)
-@given(transactions=st.lists(st.lists(OPS, max_size=6), min_size=1, max_size=6))
+@given(
+    transactions=st.lists(
+        st.tuples(st.lists(OPS, max_size=6), ENDINGS), min_size=1, max_size=6
+    )
+)
 def test_applying_the_committed_deltas_is_executing_the_transaction(transactions):
     live, copy = build(), build()
     committed = []
     live.storage.add_commit_listener(committed.append)
-    for ops in transactions:
-        with live.transaction():
-            for op in ops:
-                execute(live, op)
+    for ops, ending in transactions:
+        live.begin()
+        for op in ops:
+            execute(live, op)
+        if ending == "rollback":
+            live.rollback()
+        elif ending == "abort":
+            # a fresh node entering rb's condition: its action raises
+            live.set_value("h", (live.create_object("node"),), 1)
+            with pytest.raises(Boom):
+                live.commit()
+        else:
+            live.commit()
+        if ending != "commit":
+            assert committed == []
+            assert copy.snapshot_extensions() == live.snapshot_extensions()
+            assert_indexes_agree_with_scans(live.storage)
+            continue
         (commit,) = committed
         committed.clear()
         net_rows = sum(len(d.plus) + len(d.minus) for d in commit.deltas.values())

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.algebra.delta import DeltaSet
+from repro.amos.database import AmosDatabase
 from repro.errors import (
     DuplicateRelationError,
     TransactionError,
@@ -107,9 +109,19 @@ class TestExplicitTransactions:
         assert (1, 2) not in db.relation("r")
 
     def test_log_truncated_after_commit(self, db):
+        committed = []
+        db.add_commit_listener(committed.append)
         with db.transaction():
             db.insert("r", (1, 2))
-        assert len(db.log) == 0
+        with db.transaction():
+            db.insert("r", (3, 4))
+            db.insert("r", (5, 6))
+            db.delete("r", (5, 6))
+        first, second = committed
+        assert first.deltas == {"r": DeltaSet([(1, 2)])}
+        # only the second transaction's net rows; its raw events counted
+        assert second.deltas == {"r": DeltaSet([(3, 4)])}
+        assert second.events == 3
 
 
 class TestDeltaAccumulation:
@@ -206,3 +218,42 @@ class TestCheckHooks:
         stats = db.statistics
         assert stats["transactions"] == 1
         assert stats["events"] == 1
+
+
+class TestDropInsideTransaction:
+    """Dropping a relation discards its share of the transaction Δ."""
+
+    @staticmethod
+    def make_amos():
+        amos = AmosDatabase()
+        amos.create_type("node")
+        amos.create_stored_function("f", ("node",), ("integer",))
+        return amos
+
+    def test_recovery_does_not_resurrect_a_relation_dropped_in_the_commit(
+        self, tmp_path
+    ):
+        live = self.make_amos()
+        live.open_wal(str(tmp_path))
+        node = live.create_object("node")
+        live.begin()
+        live.set_value("f", (node,), 5)
+        live.drop_function("f")
+        live.commit()
+        live.detach_wal()
+        recovered = self.make_amos()
+        recovered.open_wal(str(tmp_path))
+        recovered.detach_wal()
+        assert recovered.snapshot_extensions() == live.snapshot_extensions()
+        assert not recovered.storage.has_relation("f")
+
+    def test_rollback_after_dropping_a_written_relation(self):
+        amos = self.make_amos()
+        node = amos.create_object("node")
+        amos.begin()
+        amos.set_value("f", (node,), 5)
+        amos.drop_function("f")
+        amos.rollback()
+        assert not amos.storage.in_transaction
+        assert not amos.storage.has_relation("f")
+        assert amos.objects_of("node") == {node}

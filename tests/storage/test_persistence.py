@@ -1,4 +1,4 @@
-"""Tests for savepoints and data persistence."""
+"""Tests for data persistence."""
 
 import pytest
 
@@ -6,60 +6,6 @@ from repro.amos.oid import OID
 from repro.errors import StorageError, TransactionError
 from repro.storage import persistence
 from repro.storage.database import Database
-
-
-class TestSavepoints:
-    @pytest.fixture
-    def db(self):
-        database = Database()
-        database.create_relation("r", 2)
-        database.insert("r", (0, 0))
-        return database
-
-    def test_rollback_to_savepoint(self, db):
-        db.begin()
-        db.insert("r", (1, 1))
-        savepoint = db.savepoint()
-        db.insert("r", (2, 2))
-        db.delete("r", (0, 0))
-        db.rollback_to(savepoint)
-        assert db.relation("r").rows() == {(0, 0), (1, 1)}
-        db.commit()
-        assert db.relation("r").rows() == {(0, 0), (1, 1)}
-
-    def test_deltas_corrected_by_partial_rollback(self, db):
-        db.monitor("r")
-        db.begin()
-        db.insert("r", (1, 1))
-        savepoint = db.savepoint()
-        db.insert("r", (2, 2))
-        db.rollback_to(savepoint)
-        assert db.delta_of("r").plus == {(1, 1)}
-        db.commit()
-
-    def test_savepoint_outside_transaction_rejected(self, db):
-        with pytest.raises(TransactionError):
-            db.savepoint()
-        with pytest.raises(TransactionError):
-            db.rollback_to(0)
-
-    def test_invalid_savepoint_rejected(self, db):
-        db.begin()
-        with pytest.raises(TransactionError):
-            db.rollback_to(99)
-        db.rollback()
-
-    def test_nested_savepoints(self, db):
-        db.begin()
-        first = db.savepoint()
-        db.insert("r", (1, 1))
-        second = db.savepoint()
-        db.insert("r", (2, 2))
-        db.rollback_to(second)
-        assert (1, 1) in db.relation("r")
-        db.rollback_to(first)
-        assert (1, 1) not in db.relation("r")
-        db.commit()
 
 
 class TestStoragePersistence:
