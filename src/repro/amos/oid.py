@@ -38,7 +38,7 @@ class OID:
         return self.id < other.id
 
     def __hash__(self) -> int:
-        return hash(("OID", self.id))
+        return hash(self.id)
 
     def __repr__(self) -> str:
         return f"#[{self.type_name} {self.id}]"
