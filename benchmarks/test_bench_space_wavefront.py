@@ -6,11 +6,13 @@
     memory utilization by only temporarily saving the intermediate
     changes appearing during the propagation."
 
-We instrument the propagation network and count resident tuples:
+We read the propagator's own metrics and count resident tuples:
 
 * **incremental**: the peak number of delta-set tuples alive at any
-  point of a check phase (the wave front), plus what survives between
-  transactions (must be zero);
+  point of a check phase (the wave front, the
+  ``propagation.wavefront_peak`` gauge), the rows discarded once the
+  wave front passed (``propagation.discarded_rows``), plus what
+  survives between transactions (must be zero);
 * **naive baseline**: the materialized previous condition results it
   must keep *permanently* between transactions.
 
@@ -25,33 +27,21 @@ Run:  pytest benchmarks/test_bench_space_wavefront.py --benchmark-only -s
 import pytest
 
 from repro.bench.workload import build_inventory
+from repro.obs import metrics
 
 SIZES = [100, 1000]
 
 
 def wavefront_peak(workload, transactions=10):
-    """Max delta tuples resident across the network during commits."""
-    network = workload.amos.rules.engine.network
-    propagator = workload.amos.rules.engine._propagator
-    peak = [0]
-    original = propagator._execute
-
-    def measuring_execute(*args, **kwargs):
-        resident = sum(
-            len(node.delta.plus) + len(node.delta.minus)
-            for node in network.nodes.values()
-        )
-        peak[0] = max(peak[0], resident)
-        return original(*args, **kwargs)
-
-    propagator._execute = measuring_execute
-    try:
+    """Max delta tuples resident across the network during commits, and
+    the rows discarded behind the wave front, from the metrics
+    registry the propagator reports into."""
+    with metrics.collecting() as registry:
         for step in range(transactions):
             # drive items below threshold so condition rows exist
             workload.touch_one_item(step, below=(step % 2 == 0))
-    finally:
-        propagator._execute = original
-    return peak[0]
+    peak = registry.gauges()["propagation.wavefront_peak"]["max"]
+    return peak, registry.value("propagation.discarded_rows")
 
 
 def naive_materialization(workload, transactions=10):
@@ -71,8 +61,10 @@ def measurements():
         naive = build_inventory(n_items, mode="naive")
         naive.activate()
         transactions = min(n_items, 10)
+        peak, discarded = wavefront_peak(incremental, transactions)
         out[n_items] = {
-            "wavefront_peak": wavefront_peak(incremental, transactions),
+            "wavefront_peak": peak,
+            "discarded": discarded,
             "retained_after": sum(
                 len(node.delta.plus) + len(node.delta.minus)
                 for node in incremental.amos.rules.engine.network.nodes.values()
@@ -80,11 +72,12 @@ def measurements():
             "naive_materialized": naive_materialization(naive, transactions),
         }
     print("\nSpace — wave-front vs materialization (resident tuples)")
-    print(f"{'items':>8} {'wavefront peak':>15} {'retained after':>15} "
-          f"{'naive materialized':>19}")
+    print(f"{'items':>8} {'wavefront peak':>15} {'discarded':>10} "
+          f"{'retained after':>15} {'naive materialized':>19}")
     for n_items, cells in out.items():
         print(f"{n_items:>8} {cells['wavefront_peak']:>15} "
-              f"{cells['retained_after']:>15} {cells['naive_materialized']:>19}")
+              f"{cells['discarded']:>10} {cells['retained_after']:>15} "
+              f"{cells['naive_materialized']:>19}")
     return out
 
 

@@ -149,7 +149,7 @@ class StateView:
 
     def lookup(self, name: str, columns: Sequence[int], key: Sequence) -> FrozenSet[Row]:
         # copied: a prober may hand out a live index bucket, and
-        # interpretive callers iterate lookups lazily
+        # callers may iterate the result lazily
         return frozenset(self.prober(name, columns)(tuple(key)))
 
 

@@ -17,7 +17,9 @@ from repro.amosql import ast
 from repro.amosql.compiler import QueryCompiler
 from repro.amosql.parser import parse
 from repro.errors import AmosError, CompileError
+from repro.objectlog.batch import compile_plan
 from repro.objectlog.evaluate import Evaluator
+from repro.objectlog.optimize import order_clause
 from repro.objectlog.program import ProgramOverlay
 from repro.algebra.oldstate import NewStateView
 from repro.storage.snapshot import SnapshotView
@@ -385,7 +387,8 @@ class AmosqlEngine:
         evaluator = Evaluator(program, view)
         rows = set()
         for clause in compiled.clauses:
-            rows.update(evaluator.solve_clause(clause))
+            plan = compile_plan(order_clause(clause, program), program)
+            rows.update(plan.rows(evaluator))
         return sorted(rows, key=repr)
 
     # -- runtime expression evaluation ------------------------------------------------------

@@ -1,31 +1,27 @@
 """Set-at-a-time execution plans for compiled clause bodies.
 
-The tuple-at-a-time evaluator (:mod:`repro.objectlog.evaluate`) threads
-every solution through a chain of recursive generators and dict-based
-environments keyed by :class:`~repro.objectlog.terms.Variable`.  That is
-the right shape for ad-hoc queries, but partial differentials are
-compiled once and executed on *every* transaction — for them the
-per-row interpretation overhead is pure constant cost in the serialized
-check phase (the paper optimizes each differential "using traditional
-query optimization techniques"; DBToaster makes the same point for
-delta queries compiled to reusable set-at-a-time plans).
+Every clause body the system executes — partial differentials, the
+naive recompute, derived sub-predicates, ``select`` — is compiled
+once into a :class:`ClausePlan` and executed as often as it is needed
+(the paper optimizes each differential "using traditional query
+optimization techniques"; DBToaster makes the same point for delta and
+recompute queries compiled to reusable set-at-a-time plans):
 
-A :class:`ClausePlan` removes that overhead:
-
-* the body is compiled **once** into a tuple of step closures with
-  pre-resolved predicate definitions, pre-computed bound-column sets,
-  and positional *register* accessors — no per-solve scheduling, no
-  ``Variable`` hashing, no environment dicts;
+* the body, already in a safe static order
+  (:func:`~repro.objectlog.optimize.order_body`), becomes a tuple of
+  step closures with pre-resolved predicate definitions, pre-computed
+  bound-column sets, and positional *register* accessors — no
+  per-solve scheduling, no ``Variable`` hashing, no environment dicts;
 * each step maps a **batch of environments** (plain register lists) to
   the next batch, so one pass over a literal extends every pending
-  binding — the recursive generator stack disappears from the hot loop;
+  binding;
 * a delta-set read is a relation read: the plus/minus side indexes
   itself (:meth:`~repro.algebra.delta.DeltaSet.side`), so keyed delta
   probes do not scan the whole side;
-* derived sub-predicates are still answered by the
-  :class:`~repro.objectlog.evaluate.Evaluator` passed at run time, so
-  its memo table is shared with every other plan executed in the same
-  propagation run.
+* derived sub-predicates are answered by the
+  :class:`~repro.objectlog.evaluate.Evaluator` passed at run time —
+  through its own compiled plans — so its memo table is shared with
+  every other plan executed on it.
 
 Plans are state-free: the same plan runs against the new or the old
 database state depending on which evaluator executes it.

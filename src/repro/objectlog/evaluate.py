@@ -1,18 +1,17 @@
 """The ObjectLog evaluation engine.
 
-A generator-based, set-oriented evaluator for conjunctive clause bodies
-with *dynamic sideways information passing*: at every step the most
-selective executable literal is chosen next —
-
-1. assignments and comparisons whose inputs are bound (free filters),
-2. fully-bound negated literals,
-3. delta-set reads (tiny by assumption — "few updates per transaction"),
-4. foreign predicates whose inputs are bound,
-5. stored/derived predicate reads, preferring the most-bound literal so
-   that index probes replace scans.
+One evaluator runs every query against one database state.  Clause
+bodies are never interpreted: a derived predicate is answered by
+:class:`~repro.objectlog.batch.ClausePlan` chains, ordered once by
+:func:`~repro.objectlog.optimize.order_body` and compiled once per
+(predicate, bound head positions) for the evaluator's lifetime, with
+the extensions they produce memoized per bound key.  What remains
+here is state resolution — which relation, delta-set side or index a
+literal reads — and the single positive goal of :meth:`Evaluator.query`
+(``value()``, aggregate groups, foreign/aggregate negation).
 
 The evaluator is parameterized by a :class:`~repro.algebra.oldstate.StateView`,
-so the *same* engine evaluates positive differentials in the new state
+so the *same* plans evaluate positive differentials in the new state
 and negative differentials in the old state (logical rollback), and by
 a mapping of delta-sets for delta-marked literals.
 """
@@ -34,13 +33,13 @@ from typing import (
 from repro.algebra.delta import EMPTY_DELTA, DeltaSet
 from repro.algebra.oldstate import StateView
 from repro.errors import (
-    ObjectLogError,
     RecursionNotSupportedError,
     UnknownPredicateError,
     UnsafeClauseError,
 )
-from repro.objectlog.clause import HornClause
-from repro.objectlog.literals import Assignment, Comparison, Literal, PredLiteral
+from repro.objectlog.batch import compile_plan
+from repro.objectlog.literals import PredLiteral
+from repro.objectlog.optimize import order_clause
 from repro.objectlog.program import (
     AggregatePredicate,
     BasePredicate,
@@ -48,7 +47,7 @@ from repro.objectlog.program import (
     ForeignPredicate,
     Program,
 )
-from repro.objectlog.terms import Env, Variable, bind_row, eval_expr, fresh_variable
+from repro.objectlog.terms import Env, Variable, bind_row, fresh_variable
 from repro.obs import metrics
 
 Row = Tuple
@@ -67,14 +66,10 @@ class Evaluator:
         Delta-sets for delta-marked literals, keyed by predicate name.
         The propagation algorithm supplies the changed node's delta
         here; plain queries never need it.
-    compile_derived:
-        Answer derived-predicate probes through compiled
-        :class:`~repro.objectlog.batch.ClausePlan` chains instead of
-        the interpretive generator path.  Compilation is amortized
-        over the evaluator's lifetime (plans survive :meth:`reset`),
-        so only long-lived evaluators — the batch propagator keeps one
-        pair across all transactions — should opt in; a fresh
-        evaluator per edge would pay compilation per probe.
+
+    Compiled derived-predicate plans survive :meth:`reset`, so a
+    long-lived evaluator — the propagator keeps one pair across all
+    transactions — compiles each (predicate, bound shape) once.
     """
 
     def __init__(
@@ -82,23 +77,18 @@ class Evaluator:
         program: Program,
         view: StateView,
         deltas: Optional[Mapping[str, DeltaSet]] = None,
-        compile_derived: bool = False,
     ) -> None:
         self.program = program
         self.view = view
         self.deltas = dict(deltas or {})
-        self.compile_derived = compile_derived
         self._memo: Dict[Tuple, FrozenSet[Row]] = {}
         self._stack: Set[str] = set()
         #: compiled plans per (derived predicate, bound positions):
-        #: ``(name, cols) -> (clauses, n_clauses, [plan, ...] | None)``
-        #: — the definition's clause list identity AND length are kept
-        #: for revalidation (clauses are only ever appended in place,
-        #: so a redefined/extended function must not reuse stale
-        #: plans); ``None`` records an uncompilable definition so the
-        #: interpretive fallback is taken without retrying compilation
-        #: per probe
-        self._derived_plans: Dict[Tuple, Tuple[List, int, Optional[List]]] = {}
+        #: ``(name, cols) -> (clauses, n_clauses, [plan, ...])`` — the
+        #: definition's clause list identity AND length are kept for
+        #: revalidation (clauses are only ever appended in place, so a
+        #: redefined/extended function must not reuse stale plans)
+        self._derived_plans: Dict[Tuple, Tuple[List, int, List]] = {}
 
     def reset(self) -> None:
         """Forget all state tied to one database snapshot: the deltas
@@ -135,24 +125,8 @@ class Evaluator:
 
     # -- public API ---------------------------------------------------------------
 
-    def solve_body(
-        self, body: Iterable[Literal], env: Optional[Env] = None
-    ) -> Iterator[Env]:
-        """All environments satisfying the conjunction ``body``."""
-        yield from self._solve(list(body), dict(env or {}))
-
-    def solve_clause(
-        self, clause: HornClause, env: Optional[Env] = None
-    ) -> Iterator[Row]:
-        """Head rows produced by one clause (may contain duplicates)."""
-        head_args = clause.head.args
-        for solution in self.solve_body(clause.body, env):
-            yield tuple(
-                solution[a] if isinstance(a, Variable) else a for a in head_args
-            )
-
     def query(self, pred: str, args: Tuple) -> Iterator[Env]:
-        """Solve a single goal literal ``pred(args)``."""
+        """Solve a single positive goal literal ``pred(args)``."""
         yield from self._eval_literal(PredLiteral(pred, tuple(args)), {})
 
     def extension(self, pred: str) -> FrozenSet[Row]:
@@ -178,18 +152,15 @@ class Evaluator:
         still pending seeds one register list with all head variables
         bound from it, so the row a solved list emits IS its candidate.
         The negative guard (section 7.2) asks this of the new state,
-        strict semantics of the old one.  Anything but a compilable
-        derived predicate on a ``compile_derived`` evaluator is
-        answered by one :meth:`holds` per row.
+        strict semantics of the old one.  A predicate that is not
+        derived is answered by one :meth:`holds` per row.
         """
         definition = self.program.predicate(pred)
-        plans = None
-        if self.compile_derived and isinstance(definition, DerivedPredicate):
-            plans = self._derived_plans_for(
-                definition, tuple(range(definition.arity))
-            )
-        if plans is None:
+        if not isinstance(definition, DerivedPredicate):
             return frozenset(row for row in rows if self.holds(pred, row))
+        plans = self._derived_plans_for(
+            definition, tuple(range(definition.arity))
+        )
         found: Set[Row] = set()
         pending = set(rows)
         for plan in plans:
@@ -205,93 +176,14 @@ class Evaluator:
                 pending -= found
         return frozenset(found)
 
-    # -- scheduling -----------------------------------------------------------------
-
-    def _solve(self, literals: List[Literal], env: Env) -> Iterator[Env]:
-        if not literals:
-            yield env
-            return
-        index = self._pick(literals, env)
-        literal = literals[index]
-        rest = literals[:index] + literals[index + 1 :]
-        for extended in self._eval_literal(literal, env):
-            yield from self._solve(rest, extended)
-
-    def _pick(self, literals: List[Literal], env: Env) -> int:
-        best_index = -1
-        best_score = None
-        for index, literal in enumerate(literals):
-            score = self._score(literal, env)
-            if score is None:
-                continue
-            if best_score is None or score < best_score:
-                best_index, best_score = index, score
-            if best_score == (0, 0):
-                break
-        if best_index < 0:
-            raise UnsafeClauseError(
-                f"no executable literal among {literals!r} with bindings "
-                f"{sorted(v.name for v in env)!r}"
-            )
-        return best_index
-
-    def _score(self, literal: Literal, env: Env):
-        """Lower is better; None means not executable yet."""
-        if isinstance(literal, Assignment):
-            if all(v in env for v in literal.input_variables()):
-                return (0, 0)
-            return None
-        if isinstance(literal, Comparison):
-            if all(v in env for v in literal.variables()):
-                return (0, 0)
-            return None
-        if isinstance(literal, PredLiteral):
-            unbound = sum(
-                1
-                for a in literal.args
-                if isinstance(a, Variable) and a not in env
-            )
-            if literal.negated:
-                return (1, 0) if unbound == 0 else None
-            if literal.delta is not None:
-                return (2, unbound)
-            definition = self.program.predicate(literal.pred)
-            if isinstance(definition, ForeignPredicate):
-                inputs = literal.args[: definition.n_in]
-                ready = all(
-                    not isinstance(a, Variable) or a in env for a in inputs
-                )
-                return (3, unbound) if ready else None
-            return (4, unbound)
-        raise ObjectLogError(f"unknown literal type {type(literal).__name__}")
-
     # -- literal evaluation ------------------------------------------------------------
 
-    def _eval_literal(self, literal: Literal, env: Env) -> Iterator[Env]:
-        if isinstance(literal, Assignment):
-            value = eval_expr(literal.expr, env)
-            if literal.var in env:
-                if env[literal.var] == value:
-                    yield env
-            else:
-                extended = dict(env)
-                extended[literal.var] = value
-                yield extended
-            return
-        if isinstance(literal, Comparison):
-            if literal.holds(env):
-                yield env
-            return
-        assert isinstance(literal, PredLiteral)
-        if literal.negated:
-            positive = PredLiteral(literal.pred, literal.args)
-            for _ in self._eval_literal(positive, env):
-                return
-            yield env
-            return
+    def _eval_literal(self, literal: PredLiteral, env: Env) -> Iterator[Env]:
+        """Environments extending ``env`` that satisfy one positive
+        predicate literal (a compiled plan's foreign/aggregate negation
+        asks this too)."""
         definition = self.program.predicate(literal.pred)
-        if literal.delta is not None or isinstance(definition, BasePredicate):
-            # a delta-set side is a relation like any other
+        if isinstance(definition, BasePredicate):
             yield from self._eval_base(literal, env)
         elif isinstance(definition, ForeignPredicate):
             yield from self._eval_foreign(definition, literal, env)
@@ -314,12 +206,12 @@ class Evaluator:
                 bound_cols.append(position)
                 key.append(arg)
         if bound_cols:
-            probe = self.prober_of(literal.pred, literal.delta, tuple(bound_cols))
+            probe = self.prober_of(literal.pred, None, tuple(bound_cols))
             # copied: a prober may hand out a live index bucket, and
             # this generator is consumed lazily
             rows = tuple(probe(tuple(key)))
         else:
-            rows = self.rows_of(literal.pred, literal.delta)
+            rows = self.rows_of(literal.pred)
         reg = metrics.ACTIVE
         if reg is None:
             for row in rows:
@@ -327,13 +219,9 @@ class Evaluator:
                 if extended is not None:
                     yield extended
             return
-        if literal.delta is not None:
-            reg.counter("evaluate.delta_reads").inc()
-            reg.counter("evaluate.delta_rows").inc(len(rows))
-        else:
-            reg.counter(
-                "evaluate.base_lookups" if bound_cols else "evaluate.base_scans"
-            ).inc()
+        reg.counter(
+            "evaluate.base_lookups" if bound_cols else "evaluate.base_scans"
+        ).inc()
         extensions = reg.counter("evaluate.env_extensions")
         for row in rows:
             extended = bind_row(literal.args, row, env)
@@ -456,9 +344,10 @@ class Evaluator:
         """Extension of a derived predicate restricted by the bound args.
 
         ``bound`` holds ``(position, value)`` pairs in position order;
-        results are memoized per (predicate, bound) so both the
-        tuple-at-a-time path and compiled batch plans sharing this
-        evaluator amortize repeated sub-derivations.
+        results are memoized per (predicate, bound) so every plan
+        sharing this evaluator amortizes repeated sub-derivations.
+        Raises :class:`UnsafeClauseError` when a defining clause has no
+        safe order under this binding pattern.
         """
         if definition.name in self._stack:
             raise RecursionNotSupportedError(
@@ -473,46 +362,16 @@ class Evaluator:
             return self._memo[memo_key]
         self._stack.add(definition.name)
         try:
-            plans = (
-                self._derived_plans_for(
-                    definition, tuple(position for position, _ in bound)
-                )
-                if self.compile_derived
-                else None
+            plans = self._derived_plans_for(
+                definition, tuple(position for position, _ in bound)
             )
             out: Set[Row] = set()
-            if plans is not None:
-                for plan in plans:
-                    regs = self._derived_seed(plan, bound)
-                    if regs is None:
-                        continue
-                    emit_row = plan.emit_row
-                    for solved in plan.execute(self, [regs]):
-                        out.add(emit_row(solved))
-                result = frozenset(out)
-            else:
-                for clause in definition.clauses:
-                    renamed = clause.rename_apart()
-                    call_env: Env = {}
-                    compatible = True
-                    for position, value in bound:
-                        head_arg = renamed.head.args[position]
-                        if isinstance(head_arg, Variable):
-                            if (
-                                head_arg in call_env
-                                and call_env[head_arg] != value
-                            ):
-                                compatible = False
-                                break
-                            call_env[head_arg] = value
-                        elif head_arg != value:
-                            compatible = False
-                            break
-                    if not compatible:
-                        continue
-                    for row in self.solve_clause(renamed, call_env):
-                        out.add(row)
-                result = frozenset(out)
+            for plan in plans:
+                regs = self._derived_seed(plan, bound)
+                if regs is None:
+                    continue
+                out.update(map(plan.emit_row, plan.execute(self, [regs])))
+            result = frozenset(out)
         finally:
             self._stack.discard(definition.name)
         self._memo[memo_key] = result
@@ -522,12 +381,10 @@ class Evaluator:
         self,
         definition: DerivedPredicate,
         cols: Tuple[int, ...],
-    ) -> Optional[List]:
+    ) -> List:
         """Compiled plans for ``definition`` probed with the head
         positions ``cols`` pinned, compiled once per (predicate, bound
-        shape) and reused for the evaluator's lifetime.  ``None`` means
-        the definition cannot be statically ordered/compiled under this
-        binding pattern (falls back to the interpretive path)."""
+        shape) and reused for the evaluator's lifetime."""
         key = (definition.name, cols)
         entry = self._derived_plans.get(key)
         if (
@@ -536,27 +393,15 @@ class Evaluator:
             and entry[1] == len(definition.clauses)
         ):
             return entry[2]
-        from repro.objectlog.batch import compile_plan
-        from repro.objectlog.optimize import order_body
-
-        plans: Optional[List] = []
-        try:
-            for clause in definition.clauses:
-                bound_vars = []
-                for position in cols:
-                    arg = clause.head.args[position]
-                    if isinstance(arg, Variable) and arg not in bound_vars:
-                        bound_vars.append(arg)
-                ordered = order_body(clause.body, self.program, bound_vars)
-                plans.append(
-                    compile_plan(
-                        HornClause(clause.head, tuple(ordered)),
-                        self.program,
-                        bound_vars,
-                    )
-                )
-        except (UnsafeClauseError, ObjectLogError):
-            plans = None
+        plans = []
+        for clause in definition.clauses:
+            bound_vars = []
+            for position in cols:
+                arg = clause.head.args[position]
+                if isinstance(arg, Variable) and arg not in bound_vars:
+                    bound_vars.append(arg)
+            ordered = order_clause(clause, self.program, bound_vars)
+            plans.append(compile_plan(ordered, self.program, bound_vars))
         self._derived_plans[key] = (
             definition.clauses,
             len(definition.clauses),

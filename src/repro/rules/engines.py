@@ -10,16 +10,27 @@ every monitored condition change?* — but differently:
   update touched an influent of a condition, recompute the whole
   condition and diff it against the previous, materialized result.
   It is the reference the equivalence oracles compare against.
+
+Both run compiled set-at-a-time plans: the naive recompute is the
+condition fully expanded, statically ordered and compiled once at
+:meth:`~MonitoringEngine.rebuild`, so the two engines differ in their
+algorithm, not in their evaluator.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.algebra.delta import DeltaSet
-from repro.algebra.oldstate import NewStateView, OldStateView
+from repro.algebra.oldstate import NewStateView, OldStateView, StateView
+from repro.objectlog.batch import ClausePlan, compile_plan
+from repro.objectlog.clause import HornClause
 from repro.objectlog.evaluate import Evaluator
+from repro.objectlog.expand import expand_predicate
+from repro.objectlog.literals import PredLiteral
+from repro.objectlog.optimize import order_clause
 from repro.objectlog.program import Program
+from repro.objectlog.terms import fresh_variable
 from repro.rules.network import PropagationNetwork
 from repro.rules.propagation import PropagationTrace, Propagator
 from repro.storage.database import Database
@@ -56,11 +67,11 @@ class MonitoringEngine:
         """The rows of ``rows`` that ``condition`` already held in the
         state before ``base_deltas`` — strict semantics drops them.
 
-        The reference answer: one interpretive membership test per row
-        against a fresh logical rollback.
+        The reference answer: one batched membership test against a
+        fresh logical rollback.
         """
         old_eval = Evaluator(self.program, OldStateView(self.db, base_deltas))
-        return frozenset(row for row in rows if old_eval.holds(condition, row))
+        return old_eval.derivable(condition, rows)
 
     def resync(self, pending_deltas: Optional[Mapping[str, DeltaSet]] = None) -> None:
         """Drop any engine state that may be stale after a rollback.
@@ -125,25 +136,56 @@ class NaiveEngine(MonitoringEngine):
         self.db = db
         self.program = program
         self._influents: Dict[str, FrozenSet[str]] = {}
+        #: condition -> compiled plans of its fully expanded clauses
+        self._plans: Dict[str, List[ClausePlan]] = {}
         self._previous: Dict[str, FrozenSet[Row]] = {}
 
     def rebuild(self, conditions: Mapping[str, FrozenSet[str]]) -> None:
-        evaluator = Evaluator(self.program, NewStateView(self.db))
-        self._previous = {
-            condition: evaluator.extension(condition) for condition in conditions
-        }
+        plans = {condition: self._compile(condition) for condition in conditions}
+        previous = self._recompute(plans, NewStateView(self.db))
+        self._plans = plans
+        self._previous = previous
         self._influents = dict(conditions)
+
+    def _compile(self, condition: str) -> List[ClausePlan]:
+        """One pairwise plan per expanded clause of ``condition``; a
+        condition that is not derived is read as one goal literal."""
+        clauses = expand_predicate(self.program, condition)
+        if not clauses:
+            arity = self.program.predicate(condition).arity
+            goal = PredLiteral(
+                condition, tuple(fresh_variable("_C") for _ in range(arity))
+            )
+            clauses = [HornClause(goal, [goal])]
+        return [
+            compile_plan(order_clause(clause, self.program), self.program)
+            for clause in clauses
+        ]
+
+    def _recompute(
+        self, plans: Mapping[str, List[ClausePlan]], view: StateView
+    ) -> Dict[str, FrozenSet[Row]]:
+        evaluator = Evaluator(self.program, view)
+        return {
+            condition: frozenset(
+                row for plan in condition_plans for row in plan.rows(evaluator)
+            )
+            for condition, condition_plans in plans.items()
+        }
 
     def process(
         self, base_deltas: Mapping[str, DeltaSet], trace: bool = False
     ) -> Dict[str, DeltaSet]:
         changed = frozenset(base_deltas)
+        touched = {
+            condition: self._plans[condition]
+            for condition, influents in self._influents.items()
+            if influents & changed
+        }
         results: Dict[str, DeltaSet] = {}
-        evaluator = Evaluator(self.program, NewStateView(self.db))
-        for condition, influents in self._influents.items():
-            if not (influents & changed):
-                continue
-            current = evaluator.extension(condition)
+        for condition, current in self._recompute(
+            touched, NewStateView(self.db)
+        ).items():
             previous = self._previous[condition]
             delta = DeltaSet(current - previous, previous - current)
             self._previous[condition] = current
@@ -158,6 +200,4 @@ class NaiveEngine(MonitoringEngine):
             view = OldStateView(self.db, pending_deltas)
         else:
             view = NewStateView(self.db)
-        evaluator = Evaluator(self.program, view)
-        for condition in self._influents:
-            self._previous[condition] = evaluator.extension(condition)
+        self._previous = self._recompute(self._plans, view)

@@ -197,8 +197,7 @@ class PropagationNetwork:
         (compile once at activation, execute every transaction).
         Raises :class:`~repro.errors.UnsafeClauseError` when no safe
         static order exists — exactly when the condition itself is
-        unsafe, since the orderer and the dynamic scheduler share one
-        executability rule.
+        unsafe (:mod:`repro.objectlog.optimize`).
 
         With :attr:`wcoj` the compiler cost-selects the WCOJ kernel for
         multi-way bodies in either state: an old-state differential's

@@ -122,12 +122,11 @@ class Propagator:
         self._old_view = OldStateView(db, {})
         #: the very delta map ``_old_view`` currently rolls back
         self._old_deltas: Optional[Mapping[str, DeltaSet]] = None
-        # compile_derived: sub-derivations (e.g. the running example's
-        # threshold function probed once per differential row) run as
-        # compiled plans too; the plans amortize over the propagator's
-        # lifetime
-        self._new_eval = Evaluator(program, NewStateView(db), compile_derived=True)
-        self._old_eval = Evaluator(program, self._old_view, compile_derived=True)
+        # sub-derivations (e.g. the running example's threshold
+        # function probed once per differential row) compile once per
+        # bound shape and amortize over the propagator's lifetime
+        self._new_eval = Evaluator(program, NewStateView(db))
+        self._old_eval = Evaluator(program, self._old_view)
 
     def run(
         self,

@@ -1,10 +1,10 @@
-"""Property: ``Evaluator.derivable`` is ``holds()``, set-at-a-time.
+"""Property: ``Evaluator.derivable`` is membership, set-at-a-time.
 
 The negative guard (new state) and the strict-semantics filter (old
 state) both ask "which of these rows are in P?" through
-``derivable``; whatever path answers — one batched semi-join per
-defining clause on a ``compile_derived`` evaluator, per-row ``holds()``
-otherwise — the answer is the rows ``holds()`` accepts one by one.
+``derivable``: one batched semi-join per defining clause of a derived
+predicate, one ``holds()`` per row for any other.  The answer is the
+candidates in the brute-force reference's extension of P.
 """
 
 import pytest
@@ -18,6 +18,7 @@ from repro.objectlog.literals import Comparison, PredLiteral
 from repro.objectlog.program import Program
 from repro.objectlog.terms import Variable
 from repro.storage.database import Database
+from tests.objectlog.bruteforce import BruteForce
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -64,7 +65,8 @@ def make_program():
     candidates=pairs,
 )
 @pytest.mark.parametrize("state", ["new", "old"])
-@pytest.mark.parametrize("compiled", [True, False])
+# compiling is the only mode left; the parameter keeps the test ids
+@pytest.mark.parametrize("compiled", [True])
 def test_derivable_is_holds_per_row(
     state, compiled, q_old, q_new, q2_rows, r_old, r_new, candidates
 ):
@@ -80,13 +82,11 @@ def test_derivable_is_holds_per_row(
             "q": DeltaSet(q_new - q_old, q_old - q_new),
             "r": DeltaSet(r_new - r_old, r_old - r_new),
         })
-    evaluator = Evaluator(program, view, compile_derived=compiled)
-    reference = Evaluator(program, view)
-    for target in DERIVED + ("q",):  # a base target: per-row fallback
-        expected = {row for row in candidates if reference.holds(target, row)}
+    evaluator = Evaluator(program, view)
+    reference = BruteForce(program, view)
+    for target in DERIVED + ("q",):  # a base target: per-row holds()
+        expected = candidates & reference.extension(target)
         assert evaluator.derivable(target, candidates) == expected, target
         if target in DERIVED:
-            # the compiled evaluator answered from all-heads-bound
-            # plans, the interpretive one never compiled any
-            entry = evaluator._derived_plans.get((target, (0, 1)))
-            assert (entry is not None and entry[2] is not None) == compiled
+            # answered from all-heads-bound plans
+            assert (target, (0, 1)) in evaluator._derived_plans

@@ -13,6 +13,7 @@ from repro.objectlog.optimize import order_body, order_clause
 from repro.objectlog.program import Program
 from repro.objectlog.terms import Arith, Variable
 from repro.storage.database import Database
+from tests.objectlog.bruteforce import BruteForce
 
 X, Y, Z, W = Variable("X"), Variable("Y"), Variable("Z"), Variable("W")
 
@@ -176,10 +177,11 @@ class TestOrderedEvaluation:
             ],
         )
         ordered = order_clause(clause, program)
-        evaluator = Evaluator(program, NewStateView(db))
-        dynamic = set(evaluator.solve_clause(clause))
+        view = NewStateView(db)
+        reference = BruteForce(program, view).clause_rows(clause)
+        evaluator = Evaluator(program, view)
         static = set(compile_plan(ordered, program).rows(evaluator))
-        assert dynamic == static == {(1, 10), (1, 20)}
+        assert reference == static == {(1, 10), (1, 20)}
 
     def test_network_marks_differentials_static(self, program):
         """Every differential on a network edge is statically ordered

@@ -1,10 +1,12 @@
 """Property: static ordering never changes query results.
 
 Hypothesis generates random conjunctive bodies (relation reads, delta
-reads, comparisons, negation) over random data and asserts that the
-statically ordered body, compiled to a plan, evaluates to exactly the
-same solutions as the dynamically scheduled one — the optimizer is a
-pure performance transformation.
+reads, a derived sub-predicate, comparisons, negation) over random
+data and asserts that the statically ordered body, compiled to a plan,
+evaluates to exactly the solutions of the brute-force reference
+(:mod:`tests.objectlog.bruteforce`) — the optimizer is a pure
+performance transformation, and a derived literal inside a plan is
+answered by the evaluator's compiled ``derived_rows``.
 """
 
 from hypothesis import assume, given, settings, strategies as st
@@ -20,8 +22,10 @@ from repro.objectlog.optimize import order_body
 from repro.objectlog.program import Program
 from repro.objectlog.terms import Variable, ordered_variables
 from repro.storage.database import Database
+from tests.objectlog.bruteforce import BruteForce
 
 VARS = [Variable(name) for name in "ABCD"]
+X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
 relation_contents = st.frozensets(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8
@@ -30,13 +34,16 @@ relation_contents = st.frozensets(
 
 @st.composite
 def bodies(draw):
-    """A random body over q/2, r/2, plus builtins and delta reads."""
+    """A random body over q/2, r/2 and the derived p/2, plus builtins
+    and delta reads."""
     literals = []
     n_reads = draw(st.integers(1, 3))
     for _ in range(n_reads):
-        pred = draw(st.sampled_from(["q", "r"]))
+        pred = draw(st.sampled_from(["q", "r", "p"]))
         args = tuple(draw(st.sampled_from(VARS)) for _ in range(2))
-        delta = draw(st.sampled_from([None, None, None, "+", "-"]))
+        delta = None
+        if pred != "p":
+            delta = draw(st.sampled_from([None, None, None, "+", "-"]))
         literals.append(PredLiteral(pred, args, delta=delta))
     bound_vars = set()
     for literal in literals:
@@ -54,9 +61,27 @@ def bodies(draw):
             draw(st.sampled_from(sorted(bound_vars, key=repr)))
             for _ in range(2)
         )
-        literals.append(PredLiteral(draw(st.sampled_from(["q", "r"])), args,
-                                    negated=True))
+        literals.append(PredLiteral(draw(st.sampled_from(["q", "r", "p"])),
+                                    args, negated=True))
     return draw(st.permutations(literals))
+
+
+def make_state(q_rows, r_rows, delta_plus, delta_minus):
+    """The database, the program (q, r and ``p(X, Z) <- q(X, Y) &
+    r(Y, Z)``) and the delta-sets one property example runs against."""
+    db = Database()
+    db.create_relation("q", 2).bulk_insert(q_rows)
+    db.create_relation("r", 2).bulk_insert(r_rows)
+    program = Program()
+    program.declare_base("q", 2)
+    program.declare_base("r", 2)
+    program.declare_derived("p", 2)
+    program.add_clause(HornClause(
+        PredLiteral("p", (X, Z)),
+        [PredLiteral("q", (X, Y)), PredLiteral("r", (Y, Z))],
+    ))
+    delta = DeltaSet(delta_plus - delta_minus, delta_minus - delta_plus)
+    return db, program, {"q": delta, "r": delta}
 
 
 class TestOptimizerProperty:
@@ -71,16 +96,7 @@ class TestOptimizerProperty:
     def test_static_order_preserves_solutions(
         self, body, q_rows, r_rows, delta_plus, delta_minus
     ):
-        db = Database()
-        db.create_relation("q", 2).bulk_insert(q_rows)
-        db.create_relation("r", 2).bulk_insert(r_rows)
-        program = Program()
-        program.declare_base("q", 2)
-        program.declare_base("r", 2)
-        deltas = {
-            "q": DeltaSet(delta_plus - delta_minus, delta_minus - delta_plus),
-            "r": DeltaSet(delta_plus - delta_minus, delta_minus - delta_plus),
-        }
+        db, program, deltas = make_state(q_rows, r_rows, delta_plus, delta_minus)
         try:
             ordered = order_body(body, program)
         except UnsafeClauseError:
@@ -90,14 +106,13 @@ class TestOptimizerProperty:
             "out",
             tuple(ordered_variables(set().union(*(l.variables() for l in body)))),
         )
-        evaluator = Evaluator(program, NewStateView(db), deltas=deltas)
-        try:
-            dynamic = set(evaluator.solve_clause(HornClause(head, body)))
-        except UnsafeClauseError:
-            assume(False)
-            return
+        view = NewStateView(db)
+        expected = BruteForce(program, view, deltas).clause_rows(
+            HornClause(head, body)
+        )
+        evaluator = Evaluator(program, view, deltas=deltas)
         plan = compile_plan(HornClause(head, ordered), program)
-        assert set(plan.rows(evaluator)) == dynamic
+        assert set(plan.rows(evaluator)) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -111,18 +126,9 @@ class TestOptimizerProperty:
         self, body, q_rows, r_rows, delta_plus, delta_minus
     ):
         """The same property with the join kernel enabled: where the
-        body fuses, the WCOJ kernel computes the dynamic scheduler's
-        solutions exactly (the pairwise chain is the test above)."""
-        db = Database()
-        db.create_relation("q", 2).bulk_insert(q_rows)
-        db.create_relation("r", 2).bulk_insert(r_rows)
-        program = Program()
-        program.declare_base("q", 2)
-        program.declare_base("r", 2)
-        deltas = {
-            "q": DeltaSet(delta_plus - delta_minus, delta_minus - delta_plus),
-            "r": DeltaSet(delta_plus - delta_minus, delta_minus - delta_plus),
-        }
+        body fuses, the WCOJ kernel computes the reference's solutions
+        exactly (the pairwise chain is the test above)."""
+        db, program, deltas = make_state(q_rows, r_rows, delta_plus, delta_minus)
         try:
             ordered = order_body(body, program)
         except UnsafeClauseError:
@@ -132,14 +138,8 @@ class TestOptimizerProperty:
             ordered_variables(set().union(*(l.variables() for l in body)))
         )
         clause = HornClause(PredLiteral("out", head_vars), ordered)
-        evaluator = Evaluator(program, NewStateView(db), deltas=deltas)
-        try:
-            expected = {
-                tuple(env[v] for v in head_vars)
-                for env in evaluator.solve_body(body)
-            }
-        except UnsafeClauseError:
-            assume(False)
-            return
+        view = NewStateView(db)
+        expected = BruteForce(program, view, deltas).clause_rows(clause)
+        evaluator = Evaluator(program, view, deltas=deltas)
         plan = compile_plan(clause, program, wcoj=True)
         assert set(plan.rows(evaluator)) == expected

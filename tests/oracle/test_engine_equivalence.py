@@ -16,8 +16,8 @@ must produce
 * identical rule firings, commit by commit and in order — strict
   semantics included: the incremental engine answers "which of these
   rows did the condition hold before the transaction?" from the
-  propagator's compiled old-state evaluator, the naive one with one
-  interpretive ``holds()`` per row (``MonitoringEngine.held_before``),
+  propagator's long-lived old-state evaluator, the naive one from a
+  fresh rollback and evaluator (``MonitoringEngine.held_before``),
   and the two answers are also compared directly after every commit.
 
 The generated schema covers every operator partial differencing
@@ -256,8 +256,8 @@ def assert_held_before_matches_reference(engine, extensions):
     """After a commit whose actions changed nothing (so the database is
     still in the state the check phase saw): for every condition the
     phase touched, the engine's ``held_before`` over the reported rows
-    and the folded extension equals the base class's interpretive
-    answer.  The report holds a COPY of the delta map, so the
+    and the folded extension equals the base class's answer from a
+    fresh rollback.  The report holds a COPY of the delta map, so the
     incremental engine re-points its old-state view here; the reuse
     path is what the firing histories compare."""
     manager = engine.amos.rules

@@ -5,12 +5,12 @@ import pytest
 from repro.algebra.delta import DeltaSet
 from repro.algebra.oldstate import NewStateView, OldStateView
 from repro.objectlog.clause import HornClause
-from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.literals import PredLiteral
 from repro.objectlog.program import Program
 from repro.objectlog.terms import Variable
 from repro.rules.differentials import generate_differentials
 from repro.storage.database import Database
+from tests.objectlog.bruteforce import BruteForce
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -35,8 +35,7 @@ def evaluate(differential, db, program, deltas):
         if differential.state == "new"
         else OldStateView(db, deltas)
     )
-    evaluator = Evaluator(program, view, deltas=deltas)
-    return frozenset(evaluator.solve_clause(differential.clause))
+    return BruteForce(program, view, deltas).clause_rows(differential.clause)
 
 
 class TestGeneration:
@@ -174,8 +173,9 @@ class TestPaperSection44:
         wrong' result {(1,2),(1,3)} — q(1,2) is new and must not join."""
         program, db, deltas = self.setup_case()
         negative = self.pick("r", "-")
-        evaluator = Evaluator(program, NewStateView(db), deltas=deltas)
-        wrong = frozenset(evaluator.solve_clause(negative.clause))
+        wrong = BruteForce(program, NewStateView(db), deltas).clause_rows(
+            negative.clause
+        )
         assert wrong == {(1, 2), (1, 3)}
 
     def test_net_delta_matches_paper(self):

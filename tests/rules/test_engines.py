@@ -87,6 +87,20 @@ class TestNaiveEngine:
         deltas = apply_and_delta(db, plus=[("a", 99)])  # not low
         assert engine.process(deltas) == {}
 
+    def test_aggregate_condition_is_recomputed(self):
+        """A condition that is not a derived predicate (here a grouped
+        aggregate) has no clauses to expand; it is recomputed as one
+        goal literal."""
+        db, program, _ = make_setup()
+        program.declare_aggregate("total", "value", 1, "sum")
+        db.relation("value").insert(("a", 5))
+        engine = NaiveEngine(db, program)
+        engine.rebuild({"total": frozenset({"value"})})
+        deltas = apply_and_delta(db, plus=[("a", 7)], minus=[("a", 5)])
+        assert engine.process(deltas) == {
+            "total": DeltaSet({("a", 7)}, {("a", 5)})
+        }
+
     def test_resync_with_pending_deltas_restores_old_view(self):
         db, program, conditions = make_setup()
         engine = NaiveEngine(db, program)

@@ -250,10 +250,9 @@ class TestFiring:
 
 
 class TestCompiledStrictFilter:
-    """The default check phase never enters the interpretive scheduler:
-    the strict filter is answered by the propagator's long-lived
-    old-state evaluator through compiled plans (action expressions that
-    call derived functions, and ad-hoc queries, still may)."""
+    """The strict filter is answered by the propagator's long-lived
+    old-state evaluator: a firing commit builds no evaluator and no
+    old-state view of its own."""
 
     def test_firing_commit_builds_no_evaluator_and_no_old_view(self, monkeypatch):
         from repro.algebra.oldstate import OldStateView
@@ -286,10 +285,6 @@ class TestCompiledStrictFilter:
 
             monkeypatch.setattr(cls, "__init__", counting)
 
-        def no_interpretive_solve(self, literals, env):
-            raise AssertionError("check phase entered the interpretive scheduler")
-
-        monkeypatch.setattr(Evaluator, "_solve", no_interpretive_solve)
         engine.execute("set quantity(:a) = 10;")
         assert noted == [engine.get("a")]
         assert built == []

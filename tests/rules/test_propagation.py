@@ -212,31 +212,6 @@ class TestTraceContents:
 class TestSetAtATimeExecution:
     """Compiled plans, the two shared run evaluators, batched guards."""
 
-    def test_uncompilable_guard_falls_back_to_per_row_holds(self):
-        """A target whose guard cannot be compiled (recorded as None in
-        the new-state evaluator's plan cache) is guarded by one
-        ``holds()`` per candidate row, with the same verdict as the
-        batched semi-join."""
-        outcomes = []
-        for compiled in (True, False):
-            db, propagator = make_guard_setup()
-            if not compiled:
-                clauses = propagator.program.predicate("p").clauses
-                propagator._new_eval._derived_plans["p", (0, 1)] = (
-                    clauses, len(clauses), None
-                )
-            delta = DeltaSet(set(), {(1, 1)})
-            apply(db, "q", delta)
-            outcomes.append((
-                propagator.run({"q": delta}, trace=True),
-                [
-                    (e.label, e.produced, e.guarded_away)
-                    for e in propagator.last_trace.executions
-                ],
-            ))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][1][0][2] == {(1, 10)}
-
     def test_batched_guard_counter(self):
         from repro.obs import metrics
 

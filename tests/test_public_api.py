@@ -73,7 +73,7 @@ OPTION_SURFACE = {
     "repro.rules.engines:IncrementalEngine": (2, {"db", "program"}),
     "repro.rules.network:PropagationNetwork": (1, {"program"}),
     "repro.rules.propagation:Propagator": (0, {"program", "db", "network"}),
-    "repro.objectlog.evaluate:Evaluator": (4, set()),
+    "repro.objectlog.evaluate:Evaluator": (3, set()),
     "repro.algebra.oldstate:NewStateView": (1, set()),
     "repro.storage.wal:recover": (3, {"directory", "wal_options"}),
     "repro.server.server:AmosServer": (8, {"amos", "amos_options"}),
