@@ -13,6 +13,7 @@ Run:  pytest benchmarks/test_bench_server_throughput.py -s
 
 import json
 import os
+import platform
 import threading
 import time
 
@@ -25,6 +26,25 @@ from repro.server import AmosClient, AmosServer
 SESSION_COUNTS = [1, 4, 16]
 COMMITS_PER_SESSION = 8
 ITEMS_PER_SESSION = 2
+
+
+def hardware():
+    """The host the cells were measured on (the artifact's meta)."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu": model,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 def drive_sessions(n_sessions):
@@ -147,6 +167,7 @@ class TestServerThroughput:
                 "commit_latency_ms": {
                     str(n): latencies[n] for n in latencies
                 },
+                "hardware": hardware(),
             },
         )
         assert os.path.basename(path) == "BENCH_server_throughput.json"

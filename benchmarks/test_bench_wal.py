@@ -12,7 +12,12 @@ Two questions with machine-independent answers (docs/DURABILITY.md):
   machinery is raw set arithmetic, so recovering 10k commits must run
   orders of magnitude faster than executing them did.
 
-Both series take the best of ``REPEATS`` runs.  The recovery log is
+The overhead is the median of ``REPEATS`` paired on/off ratios.  Each
+repeat builds both sides and interleaves them in blocks of ``BLOCK``
+commits, alternating which side runs first, so host drift lands on
+both sides alike and no single lucky run decides the gate (a best-of
+per series compares two different moments of the host).  The cells
+report each side's median.  The recovery log is
 produced with ``fsync=False`` — recovery time does not depend on how
 durably the log was written, and 10k synchronous appends would just
 slow the benchmark down.
@@ -23,6 +28,7 @@ Run:  pytest benchmarks/test_bench_wal.py -s
 import json
 import os
 import shutil
+import statistics
 import tempfile
 
 import pytest
@@ -36,7 +42,8 @@ N_ITEMS = 24
 N_RULES = 20  # extra activated rules: the check phase dominates commits
 N_COMMITS = 60
 UPDATES_PER_COMMIT = 6
-REPEATS = 3
+REPEATS = 5
+BLOCK = 6  # commits per side before the other side runs
 OVERHEAD_BUDGET = 0.25  # WAL-on ms/commit <= 1.25x WAL-off
 
 RECOVERY_COMMITS = 10_000
@@ -62,9 +69,9 @@ def build_rule_dense_workload():
     return workload
 
 
-def run_commits(workload):
+def run_commits(workload, steps=range(N_COMMITS)):
     amos = workload.amos
-    for step in range(N_COMMITS):
+    for step in steps:
         with amos.transaction():
             for offset in range(UPDATES_PER_COMMIT):
                 index = (step + offset) % N_ITEMS
@@ -72,21 +79,29 @@ def run_commits(workload):
                 amos.set_value("quantity", (workload.items[index],), quantity)
 
 
-def drive(wal_dir):
-    """One timed run; ``wal_dir=None`` is the in-memory baseline."""
-    workload = build_rule_dense_workload()
-    if wal_dir is not None:
-        workload.amos.open_wal(wal_dir, fsync=True)
+def drive_pair(wal_dir, repeat):
+    """One paired run: a WAL-off and a WAL-on database, built alike,
+    commit the same ``N_COMMITS`` transactions in alternating blocks of
+    ``BLOCK`` commits (the side that goes first alternates per block
+    and per repeat).  Returns ``({series: seconds}, wal stats)``."""
     import time
 
-    start = time.perf_counter()
-    run_commits(workload)
-    elapsed = time.perf_counter() - start
-    if wal_dir is not None:
-        stats = workload.amos.wal.stats()
-        workload.amos.detach_wal()
-        return elapsed, stats
-    return elapsed, None
+    workloads = {
+        "wal_off": build_rule_dense_workload(),
+        "wal_on": build_rule_dense_workload(),
+    }
+    workloads["wal_on"].amos.open_wal(wal_dir, fsync=True)
+    elapsed = {"wal_off": 0.0, "wal_on": 0.0}
+    for block, first in enumerate(range(0, N_COMMITS, BLOCK)):
+        steps = range(first, min(first + BLOCK, N_COMMITS))
+        order = ("wal_off", "wal_on") if (block + repeat) % 2 == 0 else ("wal_on", "wal_off")
+        for series in order:
+            start = time.perf_counter()
+            run_commits(workloads[series], steps)
+            elapsed[series] += time.perf_counter() - start
+    stats = workloads["wal_on"].amos.wal.stats()
+    workloads["wal_on"].amos.detach_wal()
+    return elapsed, stats
 
 
 @pytest.fixture(scope="module")
@@ -94,37 +109,31 @@ def overhead():
     sweep = Sweep(
         "write-ahead log — commit overhead and recovery", x_label="commits"
     )
-    best = {}
+    runs = {"wal_off": [], "wal_on": []}
+    ratios = []
     wal_stats = None
-    for _repeat in range(REPEATS):
-        for series in ("wal_off", "wal_on"):
-            wal_dir = (
-                tempfile.mkdtemp(prefix="repro-wal-bench-")
-                if series == "wal_on"
-                else None
-            )
-            try:
-                seconds, stats = drive(wal_dir)
-            finally:
-                if wal_dir is not None:
-                    shutil.rmtree(wal_dir, ignore_errors=True)
-            if seconds < best.get(series, float("inf")):
-                best[series] = seconds
-                sweep.measurements = [
-                    m for m in sweep.measurements if m.series != series
-                ]
-                sweep.add(Measurement(series, N_COMMITS, seconds, N_COMMITS))
-                if stats is not None:
-                    wal_stats = stats
-    ratio = best["wal_on"] / best["wal_off"]
+    for repeat in range(REPEATS):
+        wal_dir = tempfile.mkdtemp(prefix="repro-wal-bench-")
+        try:
+            elapsed, wal_stats = drive_pair(wal_dir, repeat)
+        finally:
+            shutil.rmtree(wal_dir, ignore_errors=True)
+        for series, seconds in elapsed.items():
+            runs[series].append(seconds)
+        ratios.append(elapsed["wal_on"] / elapsed["wal_off"])
+    median = {series: statistics.median(times) for series, times in runs.items()}
+    for series in ("wal_on", "wal_off"):
+        sweep.add(Measurement(series, N_COMMITS, median[series], N_COMMITS))
+    ratio = statistics.median(ratios)
     print()
     print(sweep.format_table())
     print(
-        f"  wal_off={best['wal_off'] / N_COMMITS * 1000:.3f} ms/commit  "
-        f"wal_on={best['wal_on'] / N_COMMITS * 1000:.3f} ms/commit  "
-        f"overhead={100 * (ratio - 1):.1f}%"
+        f"  wal_off={median['wal_off'] / N_COMMITS * 1000:.3f} ms/commit  "
+        f"wal_on={median['wal_on'] / N_COMMITS * 1000:.3f} ms/commit  "
+        f"overhead={100 * (ratio - 1):.1f}% (median of paired ratios "
+        f"{', '.join(f'{r:.3f}' for r in ratios)})"
     )
-    return sweep, best, ratio, wal_stats
+    return sweep, median, ratio, ratios, wal_stats
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +179,7 @@ def recovery():
 
 class TestWalOverhead:
     def test_both_series_made_progress(self, overhead):
-        sweep, _best, _ratio, _stats = overhead
+        sweep, _median, _ratio, _ratios, _stats = overhead
         for series in ("wal_off", "wal_on"):
             cell = sweep.cell(series, N_COMMITS)
             assert cell is not None
@@ -178,16 +187,17 @@ class TestWalOverhead:
             assert cell.transactions_per_second > 1.0
 
     def test_every_commit_was_logged_and_synced(self, overhead):
-        _sweep, _best, _ratio, stats = overhead
+        _sweep, _median, _ratio, _ratios, stats = overhead
         assert stats is not None
         assert stats["appended_records"] == N_COMMITS
         assert stats["appended_bytes"] > 0
 
     def test_wal_overhead_within_budget(self, overhead):
-        _sweep, best, ratio, _stats = overhead
+        _sweep, median, ratio, ratios, _stats = overhead
         assert ratio <= 1.0 + OVERHEAD_BUDGET, (
-            f"WAL-on {best['wal_on'] / N_COMMITS * 1000:.3f} ms/commit vs "
-            f"WAL-off {best['wal_off'] / N_COMMITS * 1000:.3f} ms/commit = "
+            f"WAL-on {median['wal_on'] / N_COMMITS * 1000:.3f} ms/commit vs "
+            f"WAL-off {median['wal_off'] / N_COMMITS * 1000:.3f} ms/commit; "
+            f"median paired ratio {ratio:.3f} of {ratios} = "
             f"{100 * (ratio - 1):.1f}% overhead "
             f"(budget {100 * OVERHEAD_BUDGET:.0f}%)"
         )
@@ -214,7 +224,7 @@ class TestArtifact:
     def test_persists_artifact_with_overhead_and_recovery(
         self, overhead, recovery
     ):
-        sweep, best, ratio, wal_stats = overhead
+        sweep, _median, ratio, ratios, wal_stats = overhead
         write_seconds, recover_seconds, report = recovery
         sweep.add(
             Measurement(
@@ -227,8 +237,9 @@ class TestArtifact:
                 "items": N_ITEMS,
                 "rules_active": N_RULES + 1,
                 "updates_per_commit": UPDATES_PER_COMMIT,
-                "repeats_best_of": REPEATS,
+                "repeats_paired": REPEATS,
                 "overhead_ratio": ratio,
+                "paired_ratios": ratios,
                 "overhead_budget": OVERHEAD_BUDGET,
                 "wal_bytes": wal_stats["appended_bytes"],
                 "wal_segments": wal_stats["segments"],

@@ -75,6 +75,8 @@ class AmosDatabase:
             **manager_options,
         )
         self._next_oid = 1
+        #: per stored function: its resolved write checks (``_writer``)
+        self._writers: Dict[str, _Writer] = {}
         #: per rule: (condition predicate, auxiliary NOT-predicates)
         self._rule_artifacts: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
         #: the attached write-ahead log (None = not durable); see
@@ -252,6 +254,11 @@ class AmosDatabase:
 
     # -- functional updates -------------------------------------------------------------
 
+    # Each write below is one relation change and one Δ fold per row
+    # (Database._apply).  Inside an open transaction it calls the
+    # storage layer directly; only a write outside one opens (and
+    # commits) an implicit transaction around itself.
+
     def set_value(self, name: str, args: Sequence, *results) -> None:
         """``set f(args) = value``: replace the mapping for ``args``.
 
@@ -259,67 +266,67 @@ class AmosDatabase:
         first the removal of the old value tuple(s), then the insertion
         of the new one — so update/counter-update nets to nothing.
         """
-        function = self._stored(name)
-        row = self._typed_row(function, args, results)
-        n_args = function.signature.n_args
-        relation = self.storage.relation(name)
-        with self.storage._implicit_transaction():
-            for existing in relation.lookup(tuple(range(n_args)), tuple(args)):
-                self.storage.delete(name, existing)
-            self.storage.insert(name, row)
-            self.rules.maybe_immediate_check()
+        writer = self._writer(name)
+        row = writer.row(args, results)
+        if self.storage._in_transaction:
+            self._replace(writer, row[: writer.n_args], row)
+        else:
+            with self.storage._implicit_transaction():
+                self._replace(writer, row[: writer.n_args], row)
 
     def add_value(self, name: str, args: Sequence, *results) -> None:
         """``add f(args) = value``: add one mapping (multi-valued fns)."""
-        function = self._stored(name)
-        row = self._typed_row(function, args, results)
-        with self.storage._implicit_transaction():
-            self.storage.insert(name, row)
-            self.rules.maybe_immediate_check()
+        self._write_row(name, args, results, True)
 
     def remove_value(self, name: str, args: Sequence, *results) -> None:
         """``remove f(args) = value``: remove one specific mapping."""
-        function = self._stored(name)
-        row = self._typed_row(function, args, results)
-        with self.storage._implicit_transaction():
-            self.storage.delete(name, row)
-            self.rules.maybe_immediate_check()
+        self._write_row(name, args, results, False)
 
     def clear_value(self, name: str, args: Sequence) -> None:
         """Remove every mapping of ``f(args)``."""
-        function = self._stored(name)
-        n_args = function.signature.n_args
-        relation = self.storage.relation(name)
-        with self.storage._implicit_transaction():
-            for existing in relation.lookup(tuple(range(n_args)), tuple(args)):
-                self.storage.delete(name, existing)
+        writer = self._writer(name)
+        key = tuple(args)
+        if self.storage._in_transaction:
+            self._replace(writer, key, None)
+        else:
+            with self.storage._implicit_transaction():
+                self._replace(writer, key, None)
+
+    def _replace(self, writer: "_Writer", key: Row, row: Optional[Row]) -> None:
+        """Delete every row of ``writer``'s function under ``key``, then
+        insert ``row`` (none for ``clear_value``)."""
+        storage = self.storage
+        name = writer.name
+        for existing in storage.relation(name).lookup(writer.key_columns, key):
+            storage._apply(name, existing, False)
+        if row is not None:
+            storage._apply(name, row, True)
+        self.rules.maybe_immediate_check()
+
+    def _write_row(self, name: str, args: Sequence, results: Sequence, insert: bool) -> None:
+        row = self._writer(name).row(args, results)
+        storage = self.storage
+        if storage._in_transaction:
+            storage._apply(name, row, insert)
             self.rules.maybe_immediate_check()
+        else:
+            with storage._implicit_transaction():
+                storage._apply(name, row, insert)
+                self.rules.maybe_immediate_check()
+
+    def _writer(self, name: str) -> "_Writer":
+        """The resolved write checks of stored function ``name``, built
+        on its first write (``drop_function`` forgets them)."""
+        writer = self._writers.get(name)
+        if writer is None:
+            writer = self._writers[name] = _Writer(self._stored(name), self.types)
+        return writer
 
     def _stored(self, name: str) -> FunctionDef:
         function = self.function(name)
         if function.kind != "stored":
             raise AmosError(f"{name!r} is not a stored function")
         return function
-
-    def _typed_row(
-        self, function: FunctionDef, args: Sequence, results: Sequence
-    ) -> Row:
-        signature = function.signature
-        if len(args) != signature.n_args:
-            raise AmosError(
-                f"function {signature.name!r} takes {signature.n_args} "
-                f"argument(s), got {len(args)}"
-            )
-        if len(results) != signature.n_results:
-            raise AmosError(
-                f"function {signature.name!r} yields {signature.n_results} "
-                f"result(s), got {len(results)}"
-            )
-        for type_name, value in zip(signature.arg_types, args):
-            self.types.check_value(type_name, value)
-        for type_name, value in zip(signature.result_types, results):
-            self.types.check_value(type_name, value)
-        return tuple(args) + tuple(results)
 
     # -- snapshots ------------------------------------------------------------------------
 
@@ -477,6 +484,7 @@ class AmosDatabase:
                     )
         self.program.drop(name)
         del self.functions[name]
+        self._writers.pop(name, None)
         if function.kind == "stored":
             self.storage.drop_relation(name)
 
@@ -678,3 +686,38 @@ class AmosDatabase:
             f"AmosDatabase(types={len(self.types.user_types())}, "
             f"functions={len(self.functions)}, mode={self.rules.mode!r})"
         )
+
+
+class _Writer:
+    """A stored function's write checks, resolved once per signature:
+    one :meth:`TypeSystem.checker` per argument and result column."""
+
+    __slots__ = ("name", "n_args", "n_results", "key_columns", "_checks")
+
+    def __init__(self, function: FunctionDef, types: TypeSystem) -> None:
+        signature = function.signature
+        self.name = signature.name
+        self.n_args = signature.n_args
+        self.n_results = signature.n_results
+        self.key_columns = tuple(range(signature.n_args))
+        self._checks = tuple(
+            types.checker(type_name)
+            for type_name in signature.arg_types + signature.result_types
+        )
+
+    def row(self, args: Sequence, results: Sequence) -> Row:
+        """The stored row ``args + results``, arity- and type-checked."""
+        if len(args) != self.n_args:
+            raise AmosError(
+                f"function {self.name!r} takes {self.n_args} "
+                f"argument(s), got {len(args)}"
+            )
+        if len(results) != self.n_results:
+            raise AmosError(
+                f"function {self.name!r} yields {self.n_results} "
+                f"result(s), got {len(results)}"
+            )
+        row = tuple(args) + tuple(results)
+        for check, value in zip(self._checks, row):
+            check(value)
+        return row

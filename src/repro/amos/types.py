@@ -13,7 +13,7 @@ into all supertype extents, so supertype queries see subtype objects).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from repro.amos.oid import OID
 from repro.errors import TypeCheckError, UnknownTypeError
@@ -47,6 +47,9 @@ class TypeSystem:
 
     def __init__(self) -> None:
         self._types: Dict[str, TypeDef] = {}
+        #: supertype closure per type, computed on first use; a type's
+        #: supertypes are fixed at creation, so only drop invalidates
+        self._closures: Dict[str, FrozenSet[str]] = {}
 
     def create(self, name: str, under: Tuple[str, ...] = ()) -> TypeDef:
         if self.exists(name):
@@ -67,6 +70,7 @@ class TypeSystem:
                     f"cannot drop type {name!r}: {other!r} is a subtype"
                 )
         del self._types[name]
+        self._closures.pop(name, None)
 
     def get(self, name: str) -> TypeDef:
         try:
@@ -88,6 +92,9 @@ class TypeSystem:
 
     def supertype_closure(self, name: str) -> FrozenSet[str]:
         """All supertypes of ``name``, including itself."""
+        closure = self._closures.get(name)
+        if closure is not None:
+            return closure
         out = {name}
         stack = [name]
         while stack:
@@ -95,10 +102,39 @@ class TypeSystem:
                 if supertype not in out:
                     out.add(supertype)
                     stack.append(supertype)
-        return frozenset(out)
+        closure = self._closures[name] = frozenset(out)
+        return closure
 
     def is_subtype(self, name: str, ancestor: str) -> bool:
         return ancestor in self.supertype_closure(name)
+
+    def checker(self, type_name: str) -> Callable[[object], None]:
+        """:meth:`check_value` for one type, resolved once.
+
+        The returned callable accepts the common exact types (``int``
+        for integer, an :class:`OID` of the type or a subtype, ...)
+        without further lookups and hands everything else to
+        :meth:`check_value`, so it raises exactly what that raises.
+        """
+        check_value = self.check_value
+        if type_name == "object":
+            return lambda value: None
+        if type_name in LITERAL_TYPES:
+            exact = LITERAL_TYPES[type_name]
+
+            def check_literal(value: object) -> None:
+                if type(value) not in exact:
+                    check_value(type_name, value)
+
+            return check_literal
+        self.get(type_name)  # existence check
+        is_subtype = self.is_subtype
+
+        def check_object(value: object) -> None:
+            if type(value) is not OID or not is_subtype(value.type_name, type_name):
+                check_value(type_name, value)
+
+        return check_object
 
     def check_value(self, type_name: str, value: object) -> None:
         """Raise :class:`TypeCheckError` unless ``value`` fits ``type_name``."""

@@ -67,9 +67,11 @@ class Evaluator:
         The propagation algorithm supplies the changed node's delta
         here; plain queries never need it.
 
-    Compiled derived-predicate plans survive :meth:`reset`, so a
-    long-lived evaluator — the propagator keeps one pair across all
-    transactions — compiles each (predicate, bound shape) once.
+    Compiled derived-predicate plans live on the program
+    (:meth:`Program.derived_plans`), not here: every evaluator over
+    one program — the propagator's long-lived pair, a ``value()``
+    call's fresh one — compiles each (predicate, bound shape) once per
+    program version.
     """
 
     def __init__(
@@ -83,19 +85,14 @@ class Evaluator:
         self.deltas = dict(deltas or {})
         self._memo: Dict[Tuple, FrozenSet[Row]] = {}
         self._stack: Set[str] = set()
-        #: compiled plans per (derived predicate, bound positions):
-        #: ``(name, cols) -> (clauses, n_clauses, [plan, ...])`` — the
-        #: definition's clause list identity AND length are kept for
-        #: revalidation (clauses are only ever appended in place, so a
-        #: redefined/extended function must not reuse stale plans)
-        self._derived_plans: Dict[Tuple, Tuple[List, int, List]] = {}
 
     def reset(self) -> None:
         """Forget all state tied to one database snapshot: the deltas
-        and the memoized derived extensions (compiled plans survive;
-        probes are resolved through the view per step execution).  Lets
-        a propagator keep one evaluator per state across runs instead
-        of allocating fresh ones every transaction."""
+        and the memoized derived extensions (compiled plans live on the
+        program; probes are resolved through the view per step
+        execution).  Lets a propagator keep one evaluator per state
+        across runs instead of allocating fresh ones every
+        transaction."""
         self.deltas = {}
         if self._memo:
             self._memo.clear()
@@ -384,15 +381,12 @@ class Evaluator:
     ) -> List:
         """Compiled plans for ``definition`` probed with the head
         positions ``cols`` pinned, compiled once per (predicate, bound
-        shape) and reused for the evaluator's lifetime."""
+        shape) and program version."""
+        cache = self.program.derived_plans()
         key = (definition.name, cols)
-        entry = self._derived_plans.get(key)
-        if (
-            entry is not None
-            and entry[0] is definition.clauses
-            and entry[1] == len(definition.clauses)
-        ):
-            return entry[2]
+        plans = cache.get(key)
+        if plans is not None:
+            return plans
         plans = []
         for clause in definition.clauses:
             bound_vars = []
@@ -402,11 +396,9 @@ class Evaluator:
                     bound_vars.append(arg)
             ordered = order_clause(clause, self.program, bound_vars)
             plans.append(compile_plan(ordered, self.program, bound_vars))
-        self._derived_plans[key] = (
-            definition.clauses,
-            len(definition.clauses),
-            plans,
-        )
+        if self.program.derived_plans() is cache:
+            # not when the program changed while these were compiled
+            cache[key] = plans
         return plans
 
     @staticmethod

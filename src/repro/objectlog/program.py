@@ -13,7 +13,7 @@ the paper's function taxonomy (section 3):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Set
+from typing import Callable, Dict, FrozenSet, List, Set, Tuple
 
 from repro.errors import (
     DuplicateRelationError,
@@ -152,10 +152,23 @@ Predicate = object  # Base | Derived | Foreign | Aggregate predicate
 
 
 class Program:
-    """The predicate catalog plus dependency analysis."""
+    """The predicate catalog plus dependency analysis.
+
+    ``version`` moves on every declare, drop and ``add_clause``; the
+    compiled derived plans every evaluator over this program shares
+    (:meth:`derived_plans`) are valid for one version only.
+    """
 
     def __init__(self) -> None:
         self._predicates: Dict[str, Predicate] = {}
+        self.version = 0
+        #: compiled plans per (derived predicate, bound head positions),
+        #: shared by every evaluator over this program and dropped
+        #: wholesale when the version moves — a changed sub-predicate
+        #: (dropped, redeclared as another kind, extended) changes
+        #: what a plan over it must do
+        self._derived_plans: Dict[Tuple, List] = {}
+        self._plans_stamp: object = self.stamp
 
     # -- declaration ------------------------------------------------------------
 
@@ -163,12 +176,14 @@ class Program:
         self._check_free(name)
         pred = BasePredicate(name, arity)
         self._predicates[name] = pred
+        self.version += 1
         return pred
 
     def declare_derived(self, name: str, arity: int) -> DerivedPredicate:
         self._check_free(name)
         pred = DerivedPredicate(name, arity)
         self._predicates[name] = pred
+        self.version += 1
         return pred
 
     def declare_foreign(
@@ -177,6 +192,7 @@ class Program:
         self._check_free(name)
         pred = ForeignPredicate(name, arity, n_in, fn)
         self._predicates[name] = pred
+        self.version += 1
         return pred
 
     def declare_aggregate(
@@ -191,6 +207,7 @@ class Program:
             )
         pred = AggregatePredicate(name, source, n_group, func)
         self._predicates[name] = pred
+        self.version += 1
         return pred
 
     def add_clause(self, clause: HornClause) -> None:
@@ -200,11 +217,27 @@ class Program:
                 f"cannot add a clause to non-derived predicate {pred!r}"
             )
         pred.add_clause(clause)
+        self.version += 1
 
     def drop(self, name: str) -> None:
         if name not in self._predicates:
             raise UnknownPredicateError(name)
         del self._predicates[name]
+        self.version += 1
+
+    @property
+    def stamp(self) -> object:
+        """What the compiled plans over this program depend on."""
+        return self.version
+
+    def derived_plans(self) -> Dict[Tuple, List]:
+        """The shared ``(predicate, bound positions) -> plans`` cache,
+        emptied first if the program changed since it was filled."""
+        stamp = self.stamp
+        if stamp != self._plans_stamp:
+            self._derived_plans = {}
+            self._plans_stamp = stamp
+        return self._derived_plans
 
     def _check_free(self, name: str) -> None:
         if name in self._predicates:
@@ -305,8 +338,13 @@ class ProgramOverlay(Program):
     """
 
     def __init__(self, base: Program) -> None:
-        super().__init__()
         self.base = base
+        super().__init__()
+
+    @property
+    def stamp(self) -> object:
+        # the overlay's own plans read base predicates too
+        return (self.version, self.base.stamp)
 
     def predicate(self, name: str) -> Predicate:
         pred = self._predicates.get(name)
@@ -332,6 +370,7 @@ class ProgramOverlay(Program):
     def drop(self, name: str) -> None:
         if name in self._predicates:
             del self._predicates[name]
+            self.version += 1
         elif self.base.has(name):
             raise ObjectLogError(
                 f"overlay cannot drop base-program predicate {name!r}"

@@ -7,10 +7,13 @@ paper's update-time behaviour (section 4.1):
   Δ-set for the relation — one :class:`MutableDelta` per touched
   relation, monitored or not — so a transaction is always described by
   its logical (net) change;
-* if the updated relation is **monitored** (an influent of some
-  activated rule condition), the change is also folded into the
-  relation's per-wave delta-set accumulator that the check phase
-  consumes;
+* the check phase consumes the **wave Δ** of each monitored relation
+  (an influent of some activated rule condition): its net change since
+  the previous wave was taken.  Until the transaction's first
+  :meth:`Database.take_deltas` the wave Δ *is* the transaction Δ, so a
+  write folds once; only later waves (rule actions, immediate
+  processing) and relations that became monitored after they were
+  written fold into a second, per-wave accumulator;
 * unmonitored relations pay nothing beyond the transaction Δ — "no
   overhead is placed on database operations that do not affect any
   rules".
@@ -72,6 +75,11 @@ class Database:
     def __init__(self) -> None:
         self._relations: Dict[str, BaseRelation] = {}
         self._monitored: Dict[str, int] = {}
+        #: per-wave accumulators of monitored relations whose wave Δ is
+        #: no longer their transaction Δ: every monitored relation after
+        #: the transaction's first take, and one monitored after it was
+        #: written; every other monitored relation's wave Δ is its
+        #: ``_txn`` entry (see :meth:`_wave`)
         self._deltas: Dict[str, MutableDelta] = {}
         #: the open transaction's net Δ per touched relation — its only
         #: record of writes: commit freezes it, rollback applies its
@@ -158,7 +166,10 @@ class Database:
         """
         self.relation(name)  # existence check
         self._monitored[name] = self._monitored.get(name, 0) + 1
-        self._deltas.setdefault(name, MutableDelta())
+        if self._txn.get(name) and name not in self._deltas:
+            # written earlier in this transaction: the rule must see
+            # only the writes from its activation on
+            self._deltas[name] = MutableDelta()
 
     def unmonitor(self, name: str) -> None:
         count = self._monitored.get(name, 0)
@@ -176,20 +187,29 @@ class Database:
 
     # -- deltas -------------------------------------------------------------------
 
+    def _wave(self, name: str) -> Optional[MutableDelta]:
+        """The wave Δ of monitored relation ``name``: its per-wave
+        accumulator when it has one, else its transaction Δ."""
+        wave = self._deltas.get(name)
+        return wave if wave is not None else self._txn.get(name)
+
     def delta_of(self, name: str) -> DeltaSet:
         """Current accumulated logical change of a monitored relation."""
-        accumulator = self._deltas.get(name)
-        if accumulator is None:
+        wave = self._wave(name) if name in self._monitored else None
+        if wave is None:
             return DeltaSet()
-        return accumulator.freeze()
+        return wave.freeze()
 
     def take_deltas(self) -> Dict[str, DeltaSet]:
-        """Consume all non-empty delta-sets (clearing the accumulators)."""
+        """Consume all non-empty wave Δs: the next wave starts empty."""
         taken: Dict[str, DeltaSet] = {}
-        for name, accumulator in self._deltas.items():
-            if accumulator:
-                taken[name] = accumulator.freeze()
-                accumulator.clear()
+        for name in self._monitored:
+            wave = self._wave(name)
+            if wave:
+                taken[name] = wave.freeze()
+        if self._in_transaction:
+            # from here on the transaction Δ spans more than one wave
+            self._deltas = {name: MutableDelta() for name in self._monitored}
         reg = metrics.ACTIVE
         if reg is not None and taken:
             net = sum(len(d.plus) + len(d.minus) for d in taken.values())
@@ -198,63 +218,56 @@ class Database:
         return taken
 
     def peek_deltas(self) -> Dict[str, DeltaSet]:
-        """Non-empty delta-sets without clearing them."""
-        return {
-            name: accumulator.freeze()
-            for name, accumulator in self._deltas.items()
-            if accumulator
-        }
+        """Non-empty wave Δs without consuming them."""
+        peeked: Dict[str, DeltaSet] = {}
+        for name in self._monitored:
+            wave = self._wave(name)
+            if wave:
+                peeked[name] = wave.freeze()
+        return peeked
 
     def has_pending_changes(self) -> bool:
-        return any(self._deltas.values())
-
-    def _clear_deltas(self) -> None:
-        reg = metrics.ACTIVE
-        if reg is not None:
-            dropped = sum(len(a) for a in self._deltas.values())
-            if dropped:
-                reg.counter("delta.dropped_rows").inc(dropped)
-        for accumulator in self._deltas.values():
-            accumulator.clear()
+        return any(self._wave(name) for name in self._monitored)
 
     # -- updates -------------------------------------------------------------------
 
     def insert(self, name: str, row: Row) -> bool:
         """Insert ``row`` into relation ``name`` (implicit txn if needed)."""
+        if self._in_transaction:
+            return self._apply(name, tuple(row), True)
         with self._implicit_transaction():
             return self._apply(name, tuple(row), True)
 
     def delete(self, name: str, row: Row) -> bool:
         """Delete ``row`` from relation ``name`` (implicit txn if needed)."""
+        if self._in_transaction:
+            return self._apply(name, tuple(row), False)
         with self._implicit_transaction():
             return self._apply(name, tuple(row), False)
 
     def _apply(self, name: str, row: Row, insert: bool) -> bool:
-        relation = self.relation(name)
-        changed = relation.insert(row) if insert else relation.delete(row)
-        if not changed:
+        """One physical event inside the open transaction: change the
+        relation, fold the row into the transaction Δ and — for a
+        monitored relation with a per-wave accumulator — into that."""
+        relation = self._relations.get(name)
+        if relation is None:
+            raise UnknownRelationError(name)
+        if not (relation.insert(row) if insert else relation.delete(row)):
             return False
-        self._statistics["events"] += 1
         self._txn_events += 1
         txn = self._txn.get(name)
         if txn is None:
             txn = self._txn[name] = MutableDelta()
-        if insert:
-            txn.add_insert(row)
-        else:
-            txn.add_delete(row)
+        cancelled = txn.add_insert(row) if insert else txn.add_delete(row)
+        wave = self._deltas.get(name)
+        if wave is not None:
+            cancelled = wave.add_insert(row) if insert else wave.add_delete(row)
         reg = metrics.ACTIVE
-        if name in self._monitored:
-            accumulator = self._deltas[name]
-            if insert:
-                cancelled = accumulator.add_insert(row)
-            else:
-                cancelled = accumulator.add_delete(row)
-            if reg is not None:
+        if reg is not None:
+            if name in self._monitored:
                 reg.counter("delta.raw_plus" if insert else "delta.raw_minus").inc()
                 if cancelled:
                     reg.counter("delta.cancellations").inc()
-        if reg is not None:
             reg.counter("storage.events").inc()
         return True
 
@@ -315,11 +328,21 @@ class Database:
         )
 
     def _end(self) -> None:
-        """Close the transaction: drop its Δ-map and the accumulators."""
+        """Close the transaction: drop its Δ-map and the wave Δs."""
+        reg = metrics.ACTIVE
+        if reg is not None:
+            dropped = 0
+            for name in self._monitored:
+                wave = self._wave(name)
+                if wave:
+                    dropped += len(wave)
+            if dropped:
+                reg.counter("delta.dropped_rows").inc(dropped)
         self._in_transaction = False
+        self._statistics["events"] += self._txn_events
         self._txn = {}
         self._txn_events = 0
-        self._clear_deltas()
+        self._deltas = {}
 
     @contextlib.contextmanager
     def transaction(self) -> Iterator["Database"]:
@@ -546,7 +569,9 @@ class Database:
 
     @property
     def statistics(self) -> Dict[str, int]:
-        return dict(self._statistics)
+        stats = dict(self._statistics)
+        stats["events"] += self._txn_events  # the open transaction's
+        return stats
 
     def __repr__(self) -> str:
         return (

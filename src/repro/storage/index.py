@@ -10,7 +10,8 @@ the incremental curve in the paper's Fig. 6 is flat in database size.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Set, Tuple
 
 from repro.errors import SchemaError
 from repro.obs import metrics
@@ -21,7 +22,7 @@ Row = Tuple
 class HashIndex:
     """An unordered index on ``columns`` (0-based positions) of a relation."""
 
-    __slots__ = ("columns", "_buckets")
+    __slots__ = ("columns", "_buckets", "key_of")
 
     def __init__(self, columns: Tuple[int, ...]) -> None:
         if not columns:
@@ -30,12 +31,21 @@ class HashIndex:
             raise SchemaError(f"duplicate columns in index spec {columns!r}")
         self.columns = tuple(columns)
         self._buckets: Dict[Tuple, Set[Row]] = {}
-
-    def key_of(self, row: Row) -> Tuple:
-        return tuple(row[c] for c in self.columns)
+        #: ``row -> key tuple``, built once per index: ``itemgetter``
+        #: already returns a tuple for two or more columns
+        self.key_of: Callable[[Row], Tuple] = (
+            itemgetter(*self.columns)
+            if len(self.columns) > 1
+            else (lambda row, _c=self.columns[0]: (row[_c],))
+        )
 
     def add(self, row: Row) -> None:
-        self._buckets.setdefault(self.key_of(row), set()).add(row)
+        key = self.key_of(row)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = {row}
+        else:
+            bucket.add(row)
 
     def remove(self, row: Row) -> None:
         key = self.key_of(row)

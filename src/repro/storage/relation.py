@@ -113,7 +113,8 @@ class BaseRelation:
 
     def insert(self, row: Row) -> bool:
         """Insert ``row``; return True iff the relation actually changed."""
-        row = self._check(row)
+        if type(row) is not tuple or len(row) != self.arity:
+            row = self._check(row)
         if row in self._rows:
             return False
         self._rows.add(row)
@@ -128,7 +129,8 @@ class BaseRelation:
 
     def delete(self, row: Row) -> bool:
         """Delete ``row``; return True iff the relation actually changed."""
-        row = self._check(row)
+        if type(row) is not tuple or len(row) != self.arity:
+            row = self._check(row)
         if row not in self._rows:
             return False
         self._rows.discard(row)

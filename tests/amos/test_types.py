@@ -22,7 +22,11 @@ class TestOID:
     def test_identity(self):
         assert OID(1, "item") == OID(1, "item")
         assert OID(1, "item") != OID(2, "item")
-        assert hash(OID(1, "item")) == hash(OID(1, "other"))
+        # interned: one instance per (type name, id); the type name is
+        # part of the identity
+        assert OID(1, "item") is OID(1, "item")
+        assert OID(1, "item") != OID(1, "other")
+        assert hash(OID(1, "item")) == hash(OID(1, "item"))
 
     def test_ordering(self):
         assert OID(1, "item") < OID(2, "item")

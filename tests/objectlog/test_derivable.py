@@ -89,4 +89,4 @@ def test_derivable_is_holds_per_row(
         assert evaluator.derivable(target, candidates) == expected, target
         if target in DERIVED:
             # answered from all-heads-bound plans
-            assert (target, (0, 1)) in evaluator._derived_plans
+            assert (target, (0, 1)) in program.derived_plans()

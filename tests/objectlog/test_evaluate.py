@@ -443,10 +443,10 @@ class TestCompiledDerived:
         compiled = Evaluator(program, NewStateView(db))
         definition = program.predicate("p")
         compiled.derived_rows(definition, ((0, 1),))
-        entry = compiled._derived_plans[("p", (0,))]
+        entry = program.derived_plans()[("p", (0,))]
         compiled.reset()
         compiled.derived_rows(definition, ((0, 2),))
-        assert compiled._derived_plans[("p", (0,))] is entry
+        assert program.derived_plans()[("p", (0,))] is entry
 
     def test_redefinition_invalidates_plans(self):
         db, program = self.build()
@@ -457,7 +457,7 @@ class TestCompiledDerived:
             HornClause(PredLiteral("p", (X, Y)), [PredLiteral("r", (X, Y))])
         )
         # clauses changed: stale plans must not answer the new shape
-        assert (9, None) not in compiled._derived_plans
+        assert ("p", (0,)) not in program.derived_plans()
         compiled.reset()  # memo, not plans, held the old answer
         assert compiled.derived_rows(definition, ((0, 3),)) == {(3, 30)}
 
@@ -484,5 +484,5 @@ class TestCompiledDerived:
         definition = program.predicate("p")
         rows = compiled.derived_rows(definition, ())
         assert rows == self.reference(program, view, "p", ())
-        assert ("p", ()) in compiled._derived_plans
+        assert ("p", ()) in program.derived_plans()
         assert (2, 30) not in rows  # (2,3) was inserted this txn
