@@ -21,6 +21,7 @@ from repro.objectlog.batch import compile_plan
 from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.optimize import order_clause
 from repro.objectlog.program import ProgramOverlay
+from repro.objectlog.terms import _OPS
 from repro.algebra.oldstate import NewStateView
 from repro.storage.snapshot import SnapshotView
 
@@ -422,12 +423,7 @@ class AmosqlEngine:
         if isinstance(expr, ast.BinOp):
             left = self._eval_runtime(expr.left, env)
             right = self._eval_runtime(expr.right, env)
-            return {
-                "+": lambda: left + right,
-                "-": lambda: left - right,
-                "*": lambda: left * right,
-                "/": lambda: left / right,
-            }[expr.op]()
+            return _OPS[expr.op](left, right)
         if isinstance(expr, ast.UnaryMinus):
             return -self._eval_runtime(expr.operand, env)
         raise AmosError(f"cannot evaluate expression {expr!r}")

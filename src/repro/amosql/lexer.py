@@ -9,8 +9,7 @@ tokens since they appear throughout the paper's examples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from repro.errors import LexError
 
@@ -70,8 +69,7 @@ _MASTER = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token."""
 
     kind: str  # KEYWORD | IDENT | INT | FLOAT | STRING | IFACEVAR | SYMBOL | EOF

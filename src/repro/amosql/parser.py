@@ -46,8 +46,9 @@ class Parser:
     # -- token helpers --------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        tokens = self.tokens
+        index = self.position + offset
+        return tokens[index] if index < len(tokens) else tokens[-1]
 
     def advance(self) -> Token:
         token = self.tokens[self.position]

@@ -5,41 +5,45 @@ naive recompute, derived sub-predicates, ``select`` — is compiled
 once into a :class:`ClausePlan` and executed as often as it is needed
 (the paper optimizes each differential "using traditional query
 optimization techniques"; DBToaster makes the same point for delta and
-recompute queries compiled to reusable set-at-a-time plans):
+recompute queries, and compiles them to code for the reason this
+module does):
 
 * the body, already in a safe static order
-  (:func:`~repro.objectlog.optimize.order_body`), becomes a tuple of
-  step closures with pre-resolved predicate definitions, pre-computed
-  bound-column sets, and positional *register* accessors — no
-  per-solve scheduling, no ``Variable`` hashing, no environment dicts;
-* each step maps a **batch of environments** (plain register lists) to
-  the next batch, so one pass over a literal extends every pending
-  binding;
+  (:func:`~repro.objectlog.optimize.order_body`), becomes the Python
+  source of one function: nested ``for`` loops over probes and
+  delta-set sides, registers held in locals, probe keys and equality
+  checks written out inline, assignments and comparisons as plain
+  Python expressions.  Constants and predicate names reach the code
+  through its namespace (``K0``, ``K1``, ...), never through ``repr``,
+  so plans that differ only in constants have the same source and
+  share one code object (:attr:`ClausePlan.source` keeps the text);
+* the function maps a **batch of environments** (register lists) to
+  the solutions, or straight to head rows: one pass extends every
+  pending binding through the whole body;
 * a delta-set read is a relation read: the plus/minus side indexes
   itself (:meth:`~repro.algebra.delta.DeltaSet.side`), so keyed delta
-  probes do not scan the whole side;
-* derived sub-predicates are answered by the
-  :class:`~repro.objectlog.evaluate.Evaluator` passed at run time —
-  through its own compiled plans — so its memo table is shared with
-  every other plan executed on it.
+  probes do not scan the whole side.  Each probe is resolved through
+  the evaluator at most once per run, when the first row reaches it;
+* derived, aggregate, negated and foreign literals call the
+  :class:`~repro.objectlog.evaluate.Evaluator` passed at run time, so
+  its memo table is shared with every other plan executed on it.
 
-Plans are state-free: the same plan runs against the new or the old
-database state depending on which evaluator executes it.
+A fused worst-case-optimal join (:mod:`repro.objectlog.join`) stays a
+batch step of its own: such a plan runs generated code, the kernel,
+then generated code.  Plans are state-free: the same plan runs against
+the new or the old database state depending on which evaluator
+executes it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+import builtins
+import types
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import ObjectLogError, UnsafeClauseError
 from repro.objectlog.clause import HornClause
-from repro.objectlog.literals import (
-    _COMPARATORS,
-    Assignment,
-    Comparison,
-    Literal,
-    PredLiteral,
-)
+from repro.objectlog.literals import Assignment, Comparison, PredLiteral
 from repro.objectlog.program import (
     AggregatePredicate,
     BasePredicate,
@@ -47,370 +51,284 @@ from repro.objectlog.program import (
     ForeignPredicate,
     Program,
 )
-from repro.objectlog.terms import _OPS, Arith, Variable, ordered_variables
+from repro.objectlog.terms import Arith, Variable, ordered_variables
 from repro.obs import metrics
 
 Row = Tuple
 Regs = List  # one register per variable of the clause
-Step = Callable[["Evaluator", List[Regs]], List[Regs]]  # noqa: F821
 
 __all__ = ["ClausePlan", "compile_plan"]
 
+_PYTHON_COMPARATORS = {
+    "<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "!=": "!=",
+}
 
-# -- register accessors -------------------------------------------------------
-
-
-def _getter(slot_of: Dict[Variable, int], bound: Set[int], arg):
-    """A ``regs -> value`` accessor for a bound argument (var or const)."""
-    if isinstance(arg, Variable):
-        slot = slot_of[arg]
-        if slot not in bound:
-            raise UnsafeClauseError(f"variable {arg!r} read before being bound")
-        return lambda regs, _s=slot: regs[_s]
-    return lambda regs, _v=arg: _v
+#: generated source -> its compiled ``run`` code object.  Constants are
+#: not in the text, so there is one entry per plan *shape*: a statement
+#: repeated with other values (``select quantity(:i)``) compiles once
+_CODE: Dict[str, types.CodeType] = {}
+_NAMES: List[str] = []  # "K0", "K1", ...
 
 
-def _compile_expr(expr, slot_of: Dict[Variable, int], bound: Set[int]):
-    """Compile an arithmetic term to a ``regs -> value`` closure."""
-    if isinstance(expr, Variable):
-        return _getter(slot_of, bound, expr)
-    if isinstance(expr, Arith):
-        left = _compile_expr(expr.left, slot_of, bound)
-        right = _compile_expr(expr.right, slot_of, bound)
-        op = _OPS[expr.op]
-        return lambda regs: op(left(regs), right(regs))
-    return lambda regs, _v=expr: _v
+def _items(parts) -> str:
+    """``a, b`` / ``a,``: a tuple's items as Python text."""
+    return ", ".join(parts) + ("," if len(parts) == 1 else "")
 
 
-def _make_binder(
-    args: Tuple,
-    slot_of: Dict[Variable, int],
-    bound: Set[int],
-    matched: Set[int],
-):
-    """A ``(regs, row, append)`` closure unifying ``row`` against ``args``.
+def _function(source: str, consts: List) -> types.FunctionType:
+    """The ``run`` function of ``source`` over its constants ``K<n>``."""
+    code = _CODE.get(source)
+    if code is None:
+        module = compile(source, "<clause plan>", "exec")
+        code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
+        _CODE[source] = code
+    while len(_NAMES) < len(consts):
+        _NAMES.append(f"K{len(_NAMES)}")
+    namespace = dict(zip(_NAMES, consts))
+    namespace["__builtins__"] = builtins
+    return types.FunctionType(code, namespace, "run")
 
-    ``matched`` holds argument *positions* already guaranteed equal
-    (because they were part of an index-probe key), so only constants,
-    already-bound variables, and repeated occurrences outside that set
-    need runtime checks.  Register lists are linear (each one is owned
-    by exactly one batch entry), so the copy happens only on fan-out.
+
+class _Segment:
+    """The source of one generated step over a run of body literals.
+
+    Walking the literals in order, every literal that yields rows
+    opens a ``for`` loop and every filter becomes ``continue``; the
+    innermost level appends a solution.  ``bound`` (register slots
+    holding a value) is updated as literals bind.
     """
-    consts: List[Tuple[int, object]] = []
-    checks: List[Tuple[int, int]] = []
-    row_checks: List[Tuple[int, int]] = []  # repeated var WITHIN this row
-    sets: List[Tuple[int, int]] = []
-    seen = set(bound)
-    first_pos: Dict[int, int] = {}
-    for pos, arg in enumerate(args):
+
+    __slots__ = ("program", "slot_of", "bound", "consts", "lines", "indent", "lazy", "methods")
+
+    def __init__(self, program: Program, slot_of: Dict[Variable, int], bound: Set[int]):
+        self.program = program
+        self.slot_of = slot_of
+        self.bound = bound
+        self.consts: List = []
+        self.lines: List[str] = []
+        self.indent = " " * 8  # inside ``def run`` and ``for regs in batch``
+        self.lazy: List[str] = []  # probe locals resolved on first use
+        self.methods: Dict[str, str] = {}  # evaluator method locals
+
+    # -- text helpers --------------------------------------------------------
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"K{len(self.consts) - 1}"
+
+    def read(self, arg) -> str:
         if isinstance(arg, Variable):
-            slot = slot_of[arg]
-            if slot in seen:
-                if pos not in matched:
-                    if slot in first_pos:
-                        # bound by an earlier position of THIS literal:
-                        # the register is only written after the checks,
-                        # so compare row positions directly
-                        row_checks.append((pos, first_pos[slot]))
-                    else:
-                        checks.append((pos, slot))
-            else:
-                seen.add(slot)
-                first_pos[slot] = pos
-                sets.append((pos, slot))
-        elif pos not in matched:
-            consts.append((pos, arg))
+            slot = self.slot_of[arg]
+            if slot not in self.bound:
+                raise UnsafeClauseError(f"variable {arg!r} read before being bound")
+            return f"r{slot}"
+        return self.const(arg)
 
-    const_ops = tuple(consts)
-    check_ops = tuple(checks)
-    row_check_ops = tuple(row_checks)
-    set_ops = tuple(sets)
+    def expr(self, term) -> str:
+        if isinstance(term, Arith):
+            return f"({self.expr(term.left)} {term.op} {self.expr(term.right)})"
+        return self.read(term)
 
-    def bind(regs: Regs, row: Row, append) -> None:
-        for pos, value in const_ops:
-            if row[pos] != value:
-                return
-        for pos, slot in check_ops:
-            if row[pos] != regs[slot]:
-                return
-        for pos, other in row_check_ops:
-            if row[pos] != row[other]:
-                return
-        new = regs[:]
-        for pos, slot in set_ops:
-            new[slot] = row[pos]
-        append(new)
+    def emit(self, line: str) -> None:
+        self.lines.append(self.indent + line)
 
-    def bind_into(regs: Regs, row: Row) -> bool:
-        """In-place variant for the LAST row matched against ``regs``:
-        the register list is owned by one batch entry, so when no other
-        row will extend it there is nothing to copy."""
-        for pos, value in const_ops:
-            if row[pos] != value:
-                return False
-        for pos, slot in check_ops:
-            if row[pos] != regs[slot]:
-                return False
-        for pos, other in row_check_ops:
-            if row[pos] != row[other]:
-                return False
-        for pos, slot in set_ops:
-            regs[slot] = row[pos]
-        return True
-
-    return bind, bind_into, frozenset(slot for _, slot in set_ops)
-
-
-def _key_spec(
-    args: Tuple, slot_of: Dict[Variable, int], bound: Set[int]
-) -> Tuple[Tuple[int, ...], Tuple]:
-    """Bound argument positions and their ``(is_slot, value)`` parts."""
-    cols: List[int] = []
-    parts: List[Tuple[bool, object]] = []
-    for pos, arg in enumerate(args):
-        if isinstance(arg, Variable):
-            slot = slot_of[arg]
-            if slot in bound:
+    def bound_args(self, args: Tuple) -> Tuple[List[int], List[str]]:
+        """Positions of constants and already-bound variables, and the
+        text of their values."""
+        slot_of, bound = self.slot_of, self.bound
+        cols: List[int] = []
+        values: List[str] = []
+        for pos, arg in enumerate(args):
+            if not isinstance(arg, Variable):
                 cols.append(pos)
-                parts.append((True, slot))
-        else:
-            cols.append(pos)
-            parts.append((False, arg))
-    return tuple(cols), tuple(parts)
+                values.append(self.const(arg))
+            elif slot_of[arg] in bound:
+                cols.append(pos)
+                values.append(f"r{slot_of[arg]}")
+        return cols, values
 
+    def call(self, method: str, definition, args: Tuple) -> Tuple[List[int], str]:
+        """``method(definition, ((pos, value), ...))`` over the bound
+        ``args`` — a derived or aggregate extension, restricted."""
+        self.methods[method] = method
+        cols, values = self.bound_args(args)
+        pairs = _items([f"({pos}, {value})" for pos, value in zip(cols, values)])
+        return cols, f"{method}({self.const(definition)}, ({pairs}))"
 
-def _make_key(parts: Tuple) -> Callable[[Regs], Tuple]:
-    # specialized for the overwhelmingly common 1- and 2-column probe
-    # keys: the generic generator-expression tuple build dominated the
-    # hot loop when profiled
-    if len(parts) == 1:
-        (is_slot, value), = parts
-        if is_slot:
-            return lambda regs, _s=value: (regs[_s],)
-        return lambda regs, _k=(value,): _k
-    if len(parts) == 2:
-        (s1, v1), (s2, v2) = parts
-        if s1 and s2:
-            return lambda regs, _a=v1, _b=v2: (regs[_a], regs[_b])
-    return lambda regs: tuple(
-        regs[value] if is_slot else value for is_slot, value in parts
-    )
+    def loop(self, args: Tuple, matched: Set[int], source: str, width: int = 0) -> None:
+        """Open ``for`` over ``source``'s rows, unifying each with ``args``.
 
-
-# -- step factories -----------------------------------------------------------
-
-
-def _assign_step(literal: Assignment, slot_of, bound: Set[int]) -> Step:
-    expr = _compile_expr(literal.expr, slot_of, bound)
-    slot = slot_of[literal.var]
-    if slot in bound:
-        def step(evaluator, batch):
-            return [regs for regs in batch if regs[slot] == expr(regs)]
-    else:
-        bound.add(slot)
-
-        def step(evaluator, batch):
-            for regs in batch:
-                regs[slot] = expr(regs)
-            return batch
-    return step
-
-
-def _compare_step(literal: Comparison, slot_of, bound: Set[int]) -> Step:
-    op = _COMPARATORS[literal.op]
-    left = _compile_expr(literal.left, slot_of, bound)
-    right = _compile_expr(literal.right, slot_of, bound)
-
-    def step(evaluator, batch):
-        return [regs for regs in batch if op(left(regs), right(regs))]
-
-    return step
-
-
-def _base_step(literal: PredLiteral, slot_of, bound: Set[int]) -> Step:
-    """A read of a stored relation or, for a delta literal, of one side
-    of the influent's delta-set — the evaluator resolves which."""
-    pred, sign = literal.pred, literal.delta
-    cols, parts = _key_spec(literal.args, slot_of, bound)
-    bind, bind_into, new_slots = _make_binder(
-        literal.args, slot_of, bound, set(cols)
-    )
-    bound.update(new_slots)
-    if cols:
-        key_of = _make_key(parts)
-
-        def step(evaluator, batch):
-            # resolved per execution: the relation caches its probers
-            # and drops them when it evicts the index behind them
-            probe = evaluator.prober_of(pred, sign, cols)
-            out: List[Regs] = []
-            append = out.append
-            for regs in batch:
-                rows = probe(key_of(regs))
-                if not rows:
-                    continue
-                if len(rows) == 1:
-                    for row in rows:
-                        if bind_into(regs, row):
-                            append(regs)
-                else:
-                    for row in rows:
-                        bind(regs, row, append)
-            return out
-    else:
-        def step(evaluator, batch):
-            rows = evaluator.rows_of(pred, sign)
-            out: List[Regs] = []
-            append = out.append
-            for regs in batch:
-                for row in rows:
-                    bind(regs, row, append)
-            return out
-    return step
-
-
-def _negation_step(
-    literal: PredLiteral, definition, slot_of, bound: Set[int]
-) -> Step:
-    unbound = [
-        arg
-        for arg in literal.args
-        if isinstance(arg, Variable) and slot_of[arg] not in bound
-    ]
-    if unbound:
-        raise UnsafeClauseError(
-            f"negated literal {literal!r} scheduled with unbound {unbound!r}"
-        )
-    getters = tuple(_getter(slot_of, bound, arg) for arg in literal.args)
-    pred = literal.pred
-    if isinstance(definition, BasePredicate):
-        def step(evaluator, batch):
-            contains = evaluator.view.contains
-            return [
-                regs
-                for regs in batch
-                if not contains(pred, tuple(g(regs) for g in getters))
-            ]
-    elif isinstance(definition, DerivedPredicate):
-        positions = tuple(enumerate(getters))
-
-        def step(evaluator, batch):
-            derived_rows = evaluator.derived_rows
-            return [
-                regs
-                for regs in batch
-                if not derived_rows(
-                    definition, tuple((pos, g(regs)) for pos, g in positions)
-                )
-            ]
-    else:
-        # foreign / aggregate negation: route through the evaluator's
-        # generic literal machinery (rare; not worth a specialized step)
-        variables = tuple(
-            (var, slot_of[var]) for var in ordered_variables(literal.variables())
-        )
-        positive = PredLiteral(literal.pred, literal.args)
-
-        def step(evaluator, batch):
-            out: List[Regs] = []
-            for regs in batch:
-                env = {var: regs[slot] for var, slot in variables}
-                for _ in evaluator._eval_literal(positive, env):
-                    break
-                else:
-                    out.append(regs)
-            return out
-    return step
-
-
-def _foreign_step(
-    literal: PredLiteral, definition: ForeignPredicate, slot_of, bound: Set[int]
-) -> Step:
-    inputs = literal.args[: definition.n_in]
-    for arg in inputs:
-        if isinstance(arg, Variable) and slot_of[arg] not in bound:
-            raise UnsafeClauseError(
-                f"foreign predicate {definition.name!r} scheduled with "
-                f"unbound input {arg!r}"
-            )
-    in_getters = tuple(_getter(slot_of, bound, arg) for arg in inputs)
-    out_args = literal.args[definition.n_in :]
-    fn = definition.fn
-    if not out_args:
-        def step(evaluator, batch):
-            return [regs for regs in batch if fn(*[g(regs) for g in in_getters])]
-        return step
-    bind, _bind_into, new_slots = _make_binder(out_args, slot_of, bound, set())
-    bound.update(new_slots)
-
-    def step(evaluator, batch):
-        out: List[Regs] = []
-        append = out.append
-        for regs in batch:
-            result = fn(*[g(regs) for g in in_getters])
-            if result is None:
+        Positions in ``matched`` are already equal (they were part of a
+        probe key) and are skipped; constants and bound variables
+        elsewhere are checked, first occurrences of free variables are
+        unpacked straight into their registers.  ``width`` > 0 reads
+        foreign-function results, whose items may be bare values.
+        """
+        slot_of, bound = self.slot_of, self.bound
+        names: List[str] = []
+        checks: List[str] = []
+        new: List[int] = []
+        for pos, arg in enumerate(args):
+            if pos in matched:
+                names.append("_")
                 continue
-            for item in result:
-                row = item if isinstance(item, tuple) else (item,)
-                bind(regs, row, append)
-        return out
-
-    return step
-
-
-def _derived_step(
-    literal: PredLiteral, definition: DerivedPredicate, slot_of, bound: Set[int]
-) -> Step:
-    cols, _parts = _key_spec(literal.args, slot_of, bound)
-    bound_getters = tuple(
-        (pos, _getter(slot_of, bound, literal.args[pos])) for pos in cols
-    )
-    bind, _bind_into, new_slots = _make_binder(
-        literal.args, slot_of, bound, set(cols)
-    )
-    bound.update(new_slots)
-
-    def step(evaluator, batch):
-        derived_rows = evaluator.derived_rows
-        out: List[Regs] = []
-        append = out.append
-        for regs in batch:
-            rows = derived_rows(
-                definition, tuple((pos, g(regs)) for pos, g in bound_getters)
+            if isinstance(arg, Variable):
+                slot = slot_of[arg]
+                if slot not in bound and slot not in new:
+                    new.append(slot)
+                    names.append(f"r{slot}")
+                    continue
+                checks.append(f"c{pos} != r{slot}")
+            else:
+                checks.append(f"c{pos} != {self.const(arg)}")
+            names.append(f"c{pos}")
+        target = "_" if not new and not checks else _items(names)
+        if width:
+            item = f"t{len(self.lines)}"
+            self.emit(f"for {item} in {source}:")
+            self.indent += "    "
+            self.emit(
+                f"{target} = ({item} if isinstance({item}, tuple) "
+                f"else ({item},))[:{width}]"
             )
-            for row in rows:
-                bind(regs, row, append)
-        return out
+        else:
+            self.emit(f"for {target} in {source}:")
+            self.indent += "    "
+        if checks:
+            self.emit(f"if {' or '.join(checks)}: continue")
+        bound.update(new)
 
-    return step
+    # -- literals ------------------------------------------------------------
 
+    def literal(self, literal) -> None:
+        if isinstance(literal, PredLiteral):
+            self.relational(literal)
+        elif isinstance(literal, Assignment):
+            value = self.expr(literal.expr)
+            slot = self.slot_of[literal.var]
+            if slot in self.bound:
+                self.emit(f"if not (r{slot} == {value}): continue")
+            else:
+                self.emit(f"r{slot} = {value}")
+                self.bound.add(slot)
+        elif isinstance(literal, Comparison):
+            op = _PYTHON_COMPARATORS[literal.op]
+            left, right = self.expr(literal.left), self.expr(literal.right)
+            self.emit(f"if not ({left} {op} {right}): continue")
+        else:
+            raise ObjectLogError(f"unknown literal type {type(literal).__name__}")
 
-def _aggregate_step(
-    literal: PredLiteral, definition: AggregatePredicate, slot_of, bound: Set[int]
-) -> Step:
-    n_group = definition.n_group
-    cols, parts = _key_spec(literal.args[:n_group], slot_of, bound)
-    group_getters = tuple(
-        (pos, _getter(slot_of, bound, literal.args[pos])) for pos in cols
-    )
-    bind, _bind_into, new_slots = _make_binder(
-        literal.args, slot_of, bound, set(cols)
-    )
-    bound.update(new_slots)
+    def relational(self, literal: PredLiteral) -> None:
+        if literal.delta is not None:
+            self.stored(literal)
+            return
+        definition = self.program.predicate(literal.pred)
+        if literal.negated:
+            self.negation(literal, definition)
+        elif isinstance(definition, BasePredicate):
+            self.stored(literal)
+        elif isinstance(definition, ForeignPredicate):
+            self.foreign(literal, definition)
+        elif isinstance(definition, DerivedPredicate):
+            cols, source = self.call("derived_rows", definition, literal.args)
+            self.loop(literal.args, set(cols), source)
+        elif isinstance(definition, AggregatePredicate):
+            group = literal.args[: definition.n_group]
+            cols, source = self.call("aggregate_rows", definition, group)
+            self.loop(literal.args, set(cols), source)
+        else:
+            raise ObjectLogError(f"cannot compile literal {literal!r}")
 
-    def step(evaluator, batch):
-        aggregate_rows = evaluator.aggregate_rows
-        out: List[Regs] = []
-        append = out.append
-        for regs in batch:
-            rows = aggregate_rows(
-                definition, tuple((pos, g(regs)) for pos, g in group_getters)
+    def stored(self, literal: PredLiteral) -> None:
+        """A read of a stored relation or, for a delta literal, of one
+        side of the influent's delta-set — the evaluator resolves which,
+        once per run, when the first row gets here."""
+        args = literal.args
+        probe = f"p{len(self.lazy)}"
+        self.lazy.append(probe)
+        pred, sign = self.const(literal.pred), literal.delta
+        cols, key = self.bound_args(args)
+        if cols:
+            resolve = f"ev.prober_of({pred}, {sign!r}, {tuple(cols)!r})"
+            source = f"{probe}(({_items(key)}))"
+        else:
+            resolve = f"ev.rows_of({pred}, {sign!r})"
+            source = probe
+        self.emit(f"if {probe} is None: {probe} = {resolve}")
+        self.loop(args, set(cols), source)
+
+    def negation(self, literal: PredLiteral, definition) -> None:
+        unbound = [
+            arg
+            for arg in literal.args
+            if isinstance(arg, Variable) and self.slot_of[arg] not in self.bound
+        ]
+        if unbound:
+            raise UnsafeClauseError(
+                f"negated literal {literal!r} scheduled with unbound {unbound!r}"
             )
-            for row in rows:
-                bind(regs, row, append)
-        return out
+        args = literal.args
+        if isinstance(definition, BasePredicate):
+            self.methods["contains"] = "view.contains"
+            row = _items(self.bound_args(args)[1])
+            test = f"contains({self.const(literal.pred)}, ({row}))"
+        elif isinstance(definition, DerivedPredicate):
+            test = self.call("derived_rows", definition, args)[1]
+        else:
+            # foreign / aggregate negation: ask the evaluator's generic
+            # literal machinery for one solution (rare)
+            env = ", ".join(
+                f"{self.const(var)}: {self.read(var)}"
+                for var in ordered_variables(literal.variables())
+            )
+            positive = self.const(PredLiteral(literal.pred, args))
+            test = f"next(ev._eval_literal({positive}, {{{env}}}), None) is not None"
+        self.emit(f"if {test}: continue")
 
-    return step
+    def foreign(self, literal: PredLiteral, definition: ForeignPredicate) -> None:
+        inputs = literal.args[: definition.n_in]
+        for arg in inputs:
+            if isinstance(arg, Variable) and self.slot_of[arg] not in self.bound:
+                raise UnsafeClauseError(
+                    f"foreign predicate {definition.name!r} scheduled with "
+                    f"unbound input {arg!r}"
+                )
+        call = f"{self.const(definition.fn)}({', '.join(map(self.read, inputs))})"
+        outputs = literal.args[definition.n_in :]
+        if not outputs:
+            self.emit(f"if not {call}: continue")
+            return
+        result = f"f{len(self.lines)}"
+        self.emit(f"{result} = {call}")
+        self.emit(f"if {result} is None: continue")
+        self.loop(outputs, set(), result, width=len(outputs))
+
+    # -- the function ----------------------------------------------------------
+
+    def finish(self, n_slots: int, head: str = None, passthrough: bool = False) -> str:
+        """The source of ``run(ev, batch, heads)``.  With ``head`` (the
+        plan's last segment) it appends head rows when ``heads`` is
+        true; otherwise, and without it, full register lists."""
+        names = _items([f"r{slot}" for slot in range(n_slots)])
+        regs = f"[{names.rstrip(',')}]"
+        at = self.indent
+        if head is None:
+            self.lines.append(f"{at}append({regs})")
+        else:
+            self.lines.append(
+                f"{at}if heads:\n{at}    append({head})\n{at}else:\n{at}    append({regs})"
+            )
+        preamble = [f"    {name} = ev.{attribute}\n" for name, attribute in self.methods.items()]
+        if self.lazy:
+            preamble.append(f"    {' = '.join(self.lazy)} = None\n")
+        if passthrough:
+            preamble.insert(0, "    if not heads:\n        return batch\n")
+        unpack = f"        {names} = regs\n" if n_slots else ""
+        body = "\n".join(self.lines)
+        return (
+            "def run(ev, batch, heads):\n    out = []\n    append = out.append\n"
+            f"{''.join(preamble)}    for regs in batch:\n{unpack}{body}\n    return out\n"
+        )
 
 
 # -- the plan -----------------------------------------------------------------
@@ -422,58 +340,53 @@ class ClausePlan:
     The body must already be in a safe execution order (see
     :func:`repro.objectlog.optimize.order_body`); compilation verifies
     executability as it assigns registers and raises
-    :class:`UnsafeClauseError` otherwise.
+    :class:`UnsafeClauseError` otherwise.  ``steps`` are the generated
+    functions and, for a fused plan, the join kernel between them;
+    ``source`` is the generated text.
     """
 
-    __slots__ = ("clause", "steps", "slot_of", "n_slots", "_emit", "fused")
+    __slots__ = ("clause", "steps", "slot_of", "n_slots", "fused", "source")
 
     def __init__(
         self,
         clause: HornClause,
-        steps: Tuple[Step, ...],
+        steps: Tuple,
         slot_of: Dict[Variable, int],
-        emit: Tuple,
+        source: str,
         fused: int = 0,
     ) -> None:
         self.clause = clause
         self.steps = steps
-        self.slot_of = dict(slot_of)
+        self.slot_of = slot_of
         self.n_slots = len(slot_of)
-        self._emit = emit
+        self.source = source
         # number of base literals folded into a WCOJ kernel step
         # (0 = pure pairwise probe chain); read by last_check_stats()
         self.fused = fused
 
-    def execute(self, evaluator, seeds: List[Regs]) -> List[Regs]:
-        """Run every seed register list through all steps."""
+    def _run(self, evaluator, batch: List[Regs], heads: bool) -> List:
         reg = metrics.ACTIVE
         if reg is not None:
             reg.counter("evaluate.batch_runs").inc()
-            reg.counter("evaluate.batch_seed_envs").inc(len(seeds))
-        batch = seeds
+            reg.counter("evaluate.batch_seed_envs").inc(len(batch))
         for step in self.steps:
             if not batch:
                 break
-            batch = step(evaluator, batch)
+            batch = step(evaluator, batch, heads)
         if reg is not None:
             reg.counter("evaluate.batch_solutions").inc(len(batch))
         return batch
 
-    def rows(self, evaluator) -> List[Row]:
-        """Head rows from an empty seed (one all-``None`` register list)."""
-        batch = self.execute(evaluator, [[None] * self.n_slots])
-        emit = self._emit
-        return [
-            tuple(regs[value] if is_slot else value for is_slot, value in emit)
-            for regs in batch
-        ]
+    def execute(self, evaluator, seeds: List[Regs]) -> List[Regs]:
+        """Every solution's register list, from the seed register lists."""
+        return self._run(evaluator, seeds, False)
 
-    def emit_row(self, regs: Regs) -> Row:
-        """The head row for one final register list (compiled derived
-        sub-queries emit per seed, bypassing :meth:`rows`)."""
-        return tuple(
-            regs[value] if is_slot else value for is_slot, value in self._emit
-        )
+    def rows(self, evaluator, seeds: List[Regs] = None) -> List[Row]:
+        """Every solution's head row, from ``seeds`` or else from one
+        all-``None`` register list."""
+        if seeds is None:
+            seeds = [[None] * self.n_slots]
+        return self._run(evaluator, seeds, True)
 
     def __repr__(self) -> str:
         return f"ClausePlan({self.clause!r}, steps={len(self.steps)})"
@@ -574,17 +487,16 @@ def compile_plan(
     (:meth:`repro.algebra.oldstate.RolledBack.trie_index`).
     """
     slot_of: Dict[Variable, int] = {}
-
-    def slot(var: Variable) -> int:
-        existing = slot_of.get(var)
-        if existing is None:
-            existing = slot_of[var] = len(slot_of)
-        return existing
-
-    bound: Set[int] = {slot(var) for var in bound_vars}
+    for var in bound_vars:
+        slot_of.setdefault(var, len(slot_of))
+    bound: Set[int] = set(slot_of.values())
     for literal in clause.body:
-        for var in ordered_variables(literal.variables()):
-            slot(var)
+        if isinstance(literal, PredLiteral):
+            variables = [arg for arg in literal.args if isinstance(arg, Variable)]
+        else:
+            variables = ordered_variables(literal.variables())
+        for var in variables:
+            slot_of.setdefault(var, len(slot_of))
     for arg in clause.head.args:
         if isinstance(arg, Variable) and arg not in slot_of:
             raise UnsafeClauseError(
@@ -595,19 +507,35 @@ def compile_plan(
     if wcoj:
         fused_first, fused_members = _fusion_group(clause, program, bound_vars)
 
-    steps: List[Step] = []
+    n_slots = len(slot_of)
+    steps: List = []
+    sources: List[str] = []
+    segment = _Segment(program, slot_of, bound)
     fused = 0
     for index, literal in enumerate(clause.body):
         if index == fused_first:
             from repro.objectlog.join import compile_wcoj_step
 
+            if segment.lines:
+                sources.append(segment.finish(n_slots))
+                steps.append(_function(sources[-1], segment.consts))
             group = [clause.body[i] for i in sorted(fused_members)]
             steps.append(compile_wcoj_step(group, slot_of, bound))
             fused = len(group)
-        elif index in fused_members:
-            continue
-        else:
-            steps.append(_compile_literal(literal, program, slot_of, bound))
+            segment = _Segment(program, slot_of, bound)
+        elif index not in fused_members:
+            segment.literal(literal)
+
+    for arg in clause.head.args:
+        if isinstance(arg, Variable) and slot_of[arg] not in bound:
+            raise UnsafeClauseError(
+                f"head variable of {clause!r} still unbound after the body"
+            )
+    head = _items([segment.read(arg) for arg in clause.head.args])
+    sources.append(
+        segment.finish(n_slots, f"({head})", passthrough=not segment.lines)
+    )
+    steps.append(_function(sources[-1], segment.consts))
 
     reg = metrics.ACTIVE
     if reg is not None and wcoj:
@@ -616,39 +544,4 @@ def compile_plan(
             reg.histogram("join.fused_literals").observe(fused)
         else:
             reg.counter("join.plans_pairwise").inc()
-
-    emit = tuple(
-        (True, slot_of[arg]) if isinstance(arg, Variable) else (False, arg)
-        for arg in clause.head.args
-    )
-    for is_slot, value in emit:
-        if is_slot and value not in bound:
-            raise UnsafeClauseError(
-                f"head variable of {clause!r} still unbound after the body"
-            )
-    return ClausePlan(clause, tuple(steps), slot_of, emit, fused)
-
-
-def _compile_literal(
-    literal: Literal, program: Program, slot_of, bound: Set[int]
-) -> Step:
-    if isinstance(literal, Assignment):
-        return _assign_step(literal, slot_of, bound)
-    if isinstance(literal, Comparison):
-        return _compare_step(literal, slot_of, bound)
-    if not isinstance(literal, PredLiteral):
-        raise ObjectLogError(f"unknown literal type {type(literal).__name__}")
-    if literal.delta is not None:
-        return _base_step(literal, slot_of, bound)
-    definition = program.predicate(literal.pred)
-    if literal.negated:
-        return _negation_step(literal, definition, slot_of, bound)
-    if isinstance(definition, BasePredicate):
-        return _base_step(literal, slot_of, bound)
-    if isinstance(definition, ForeignPredicate):
-        return _foreign_step(literal, definition, slot_of, bound)
-    if isinstance(definition, DerivedPredicate):
-        return _derived_step(literal, definition, slot_of, bound)
-    if isinstance(definition, AggregatePredicate):
-        return _aggregate_step(literal, definition, slot_of, bound)
-    raise ObjectLogError(f"cannot compile literal {literal!r}")
+    return ClausePlan(clause, tuple(steps), slot_of, "\n".join(sources), fused)

@@ -169,7 +169,7 @@ class Evaluator:
                 if regs is not None:
                     seeds.append(regs)
             if seeds:
-                found.update(map(plan.emit_row, plan.execute(self, seeds)))
+                found.update(plan.rows(self, seeds))
                 pending -= found
         return frozenset(found)
 
@@ -367,7 +367,7 @@ class Evaluator:
                 regs = self._derived_seed(plan, bound)
                 if regs is None:
                     continue
-                out.update(map(plan.emit_row, plan.execute(self, [regs])))
+                out.update(plan.rows(self, [regs]))
             result = frozenset(out)
         finally:
             self._stack.discard(definition.name)
@@ -381,8 +381,11 @@ class Evaluator:
     ) -> List:
         """Compiled plans for ``definition`` probed with the head
         positions ``cols`` pinned, compiled once per (predicate, bound
-        shape) and program version."""
-        cache = self.program.derived_plans()
+        shape) and version of the program that declares it — a
+        ``select``'s overlay reads a base-program function through the
+        base program's cache, not a fresh one per statement."""
+        program = self.program.owner(definition.name)
+        cache = program.derived_plans()
         key = (definition.name, cols)
         plans = cache.get(key)
         if plans is not None:
@@ -394,9 +397,9 @@ class Evaluator:
                 arg = clause.head.args[position]
                 if isinstance(arg, Variable) and arg not in bound_vars:
                     bound_vars.append(arg)
-            ordered = order_clause(clause, self.program, bound_vars)
-            plans.append(compile_plan(ordered, self.program, bound_vars))
-        if self.program.derived_plans() is cache:
+            ordered = order_clause(clause, program, bound_vars)
+            plans.append(compile_plan(ordered, program, bound_vars))
+        if program.derived_plans() is cache:
             # not when the program changed while these were compiled
             cache[key] = plans
         return plans

@@ -1,7 +1,7 @@
 """Worst-case-optimal multi-way join kernels over trie indexes.
 
 The compiled :class:`~repro.objectlog.batch.ClausePlan`s execute joins
-as a chain of pairwise index probes.  For the multi-way join conditions
+as nested loops of pairwise index probes.  For the multi-way join conditions
 where partial differencing matters most that shape can materialize
 intermediate results asymptotically larger than the final output — the
 classic triangle query blowup.  Veldhuizen's *leapfrog triejoin* (and
@@ -181,8 +181,9 @@ def compile_wcoj_step(
     constants) form each literal's trie *prefix*; the remaining
     variables are joined level-by-level in the global order from
     :func:`wcoj_variable_order`.  ``bound`` is updated with the slots
-    the step binds, exactly like the pairwise step factories in
-    :mod:`repro.objectlog.batch`.
+    the step binds, as the generated code in :mod:`repro.objectlog.batch`
+    does.  The step never ends a plan (generated code emitting the head
+    rows follows it), so it ignores ``heads``.
     """
     order_vars = wcoj_variable_order(literals, slot_of, bound)
     if not order_vars:
@@ -221,7 +222,7 @@ def compile_wcoj_step(
     n_literals = len(specs)
     last_level = n_levels - 1
 
-    def step(evaluator, batch):
+    def step(evaluator, batch, heads=False):
         relation = evaluator.view.relation
         roots = [
             relation(pred).trie_index(order, auto=True).root

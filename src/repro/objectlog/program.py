@@ -239,6 +239,11 @@ class Program:
             self._plans_stamp = stamp
         return self._derived_plans
 
+    def owner(self, name: str) -> "Program":
+        """The program that declares ``name`` (an overlay's base for
+        the names it only reads through)."""
+        return self
+
     def _check_free(self, name: str) -> None:
         if name in self._predicates:
             raise DuplicateRelationError(name)
@@ -354,6 +359,11 @@ class ProgramOverlay(Program):
 
     def has(self, name: str) -> bool:
         return name in self._predicates or self.base.has(name)
+
+    def owner(self, name: str) -> Program:
+        if name in self._predicates:
+            return self
+        return self.base.owner(name)
 
     def _check_free(self, name: str) -> None:
         if name in self._predicates or self.base.has(name):

@@ -33,7 +33,9 @@ class Variable:
         return isinstance(other, Variable) and other.name == self.name
 
     def __hash__(self) -> int:
-        return hash(("Variable", self.name))
+        # a variable equals only a variable of the same name, so the
+        # name's own hash will do
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return self.name

@@ -11,7 +11,7 @@ the incremental curve in the paper's Fig. 6 is flat in database size.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Set, Tuple, Union
 
 from repro.errors import SchemaError
 from repro.obs import metrics
@@ -30,7 +30,7 @@ class HashIndex:
         if len(set(columns)) != len(columns):
             raise SchemaError(f"duplicate columns in index spec {columns!r}")
         self.columns = tuple(columns)
-        self._buckets: Dict[Tuple, Set[Row]] = {}
+        self._buckets: Dict[Tuple, Union[Tuple[Row], Set[Row]]] = {}
         #: ``row -> key tuple``, built once per index: ``itemgetter``
         #: already returns a tuple for two or more columns
         self.key_of: Callable[[Row], Tuple] = (
@@ -39,11 +39,19 @@ class HashIndex:
             else (lambda row, _c=self.columns[0]: (row[_c],))
         )
 
+    # A bucket of one row is the 1-tuple ``(row,)``, promoted to a set
+    # at its second row and back to a 1-tuple when one row is left: most
+    # keys of a functional relation hold one row, and a 1-tuple takes a
+    # fraction of an empty set's memory.  Probers hand out either form.
+
     def add(self, row: Row) -> None:
         key = self.key_of(row)
         bucket = self._buckets.get(key)
         if bucket is None:
-            self._buckets[key] = {row}
+            self._buckets[key] = (row,)
+        elif type(bucket) is tuple:
+            if bucket[0] != row:
+                self._buckets[key] = {bucket[0], row}
         else:
             bucket.add(row)
 
@@ -52,9 +60,13 @@ class HashIndex:
         bucket = self._buckets.get(key)
         if bucket is None:
             return
+        if type(bucket) is tuple:
+            if bucket[0] == row:
+                del self._buckets[key]
+            return
         bucket.discard(row)
-        if not bucket:
-            del self._buckets[key]
+        if len(bucket) == 1:
+            self._buckets[key] = tuple(bucket)
 
     def probe(self, key: Tuple) -> FrozenSet[Row]:
         """All rows whose indexed columns equal ``key`` (possibly empty)."""

@@ -164,6 +164,25 @@ class TestRulesViaAmosql:
         )
         assert fired == [engine.get("a")]  # :b is not monitored
 
+    def test_action_arguments_evaluate_arithmetic(self, engine):
+        """``-``, ``*``, ``/`` and nesting in a rule action's arguments,
+        evaluated per firing row."""
+        got = []
+        engine.amos.create_procedure(
+            "note", ("item", "real", "real"), lambda *args: got.append(args)
+        )
+        engine.execute(
+            """
+            create rule watch(item i) as
+                when quantity(i) < 5
+                do note(i, price(i) * (quantity(i) - 1), (price(i) - quantity(i)) / 2);
+            activate watch(:a);
+            set quantity(:a) = 3;
+            """
+        )
+        # price(:a) = 5, quantity(:a) = 3
+        assert got == [(engine.get("a"), 10, 1.0)]
+
     def test_deactivate_stops_monitoring(self, engine):
         fired = []
         engine.amos.create_procedure(

@@ -11,6 +11,7 @@ from repro.objectlog.evaluate import Evaluator
 from repro.objectlog.literals import Assignment, Comparison, PredLiteral
 from repro.objectlog.program import Program
 from repro.objectlog.terms import Arith, Variable
+from repro.obs import metrics
 from repro.storage.database import Database
 
 X, Y, Z, W = Variable("X"), Variable("Y"), Variable("Z"), Variable("W")
@@ -149,6 +150,162 @@ class TestPlanExecution:
             [PredLiteral("q", (X, Y), delta="+"), PredLiteral("r", (Y, Z))],
         )
         assert set(plan.rows(evaluator(db, program, deltas))) == {(9, 20)}
+
+
+class TestGeneratedLiterals:
+    """One case per kind of literal the generator writes out."""
+
+    def test_variable_repeated_within_a_delta_row(self, setup):
+        db, program = setup
+        deltas = {"q": DeltaSet(frozenset({(4, 4), (4, 5)}), frozenset())}
+        plan = plan_for(program, (X,), [PredLiteral("q", (X, X), delta="+")])
+        assert plan.rows(evaluator(db, program, deltas)) == [(4,)]
+
+    def test_constant_in_a_delta_literal(self, setup):
+        db, program = setup
+        deltas = {"q": DeltaSet(frozenset({(4, 8), (5, 8), (6, 9)}), frozenset())}
+        plan = plan_for(
+            program,
+            (X, Z),
+            [PredLiteral("q", (X, 8), delta="+"), PredLiteral("r", (Y, Z)),
+             Comparison("=", Y, 1)],
+        )
+        assert "K" in plan.source and "8" not in plan.source
+        assert set(plan.rows(evaluator(db, program, deltas))) == {(4, 10), (5, 10)}
+
+    def test_assignment_to_a_bound_variable_filters(self, setup):
+        db, program = setup
+        plan = plan_for(
+            program,
+            (X, Y),
+            [PredLiteral("r", (X, Y)), Assignment(Y, Arith("*", X, 10))],
+        )
+        assert "if not (r" in plan.source
+        assert set(plan.rows(evaluator(db, program))) == {(1, 10), (2, 20), (3, 30)}
+        plan = plan_for(
+            program,
+            (X,),
+            [PredLiteral("q", (X, Y)), Assignment(Y, Arith("+", X, 1))],
+        )
+        assert set(plan.rows(evaluator(db, program))) == {(1,), (2,)}
+
+    def test_negation_of_each_predicate_kind(self, setup):
+        db, program = setup
+        program.declare_derived("big", 1)
+        program.add_clause(
+            HornClause(
+                PredLiteral("big", (X,)),
+                [PredLiteral("r", (X, Y)), Comparison(">", Y, 15)],
+            )
+        )
+        program.declare_foreign("odd", 1, 1, lambda x: x % 2 == 1)
+        program.declare_aggregate("total", "q", 1, "sum")
+        body = [PredLiteral("r", (X, Y))]
+        cases = {
+            "q": (PredLiteral("q", (X, X), negated=True), {2, 3}),
+            "big": (PredLiteral("big", (X,), negated=True), {1}),
+            "odd": (PredLiteral("odd", (X,), negated=True), {2}),
+            # total(1) = 3, total(2) = 3: only X = 3 has no group
+            "total": (PredLiteral("total", (X, 3), negated=True), {3}),
+        }
+        for pred, (literal, want) in cases.items():
+            plan = plan_for(program, (X,), body + [literal])
+            got = {row[0] for row in plan.rows(evaluator(db, program))}
+            assert got == want, pred
+
+    def test_foreign_literal_with_outputs(self, setup):
+        db, program = setup
+        # a None result yields nothing
+        program.declare_foreign(
+            "halves", 3, 1, lambda x: None if x == 3 else [(x, x / 2), (x, x)],
+        )
+        # one output: items may be bare values
+        program.declare_foreign("triple", 2, 1, lambda x: [x * 3, (x,)])
+        plan = plan_for(
+            program,
+            (X, Z, W),
+            [PredLiteral("r", (X, Y)), PredLiteral("halves", (X, Z, W))],
+        )
+        assert set(plan.rows(evaluator(db, program))) == {
+            (1, 1, 0.5), (1, 1, 1), (2, 2, 1.0), (2, 2, 2),
+        }
+        plan = plan_for(
+            program,
+            (X, W),
+            [PredLiteral("r", (X, Y)), PredLiteral("halves", (X, X, W)),
+             Comparison("<", W, X)],
+        )
+        assert set(plan.rows(evaluator(db, program))) == {(1, 0.5), (2, 1.0)}
+        plan = plan_for(
+            program,
+            (X, Z),
+            [PredLiteral("r", (X, Y)), PredLiteral("triple", (X, Z))],
+        )
+        assert set(plan.rows(evaluator(db, program))) == {
+            (1, 3), (1, 1), (2, 6), (2, 2), (3, 9), (3, 3),
+        }
+
+    def test_aggregate_subgoal(self, setup):
+        db, program = setup
+        program.declare_aggregate("total", "q", 1, "sum")
+        plan = plan_for(
+            program,
+            (X, Z),
+            [PredLiteral("r", (X, Y)), PredLiteral("total", (X, Z))],
+        )
+        assert set(plan.rows(evaluator(db, program))) == {(1, 3), (2, 3)}
+        plan = plan_for(program, (X,), [PredLiteral("total", (X, 3))])
+        assert set(plan.rows(evaluator(db, program))) == {(1,), (2,)}
+
+    def test_wcoj_group_with_literals_after_it(self, setup):
+        db, program = setup
+        program.declare_base("s", 2)
+        db.create_relation("s", 2).bulk_insert([(1, 1), (2, 3), (1, 2)])
+        body = [
+            PredLiteral("q", (X, Y)),
+            PredLiteral("s", (X, Y)),
+            PredLiteral("r", (X, Z)),
+            Comparison(">", Z, 10),
+            PredLiteral("q", (Y, X), negated=True),
+        ]
+        clause = HornClause(PredLiteral("out", (X, Y, Z)), body)
+        fused = compile_plan(clause, program, wcoj=True)
+        plain = compile_plan(clause, program)
+        assert fused.fused == 3
+        assert [getattr(step, "wcoj", None) for step in fused.steps][0] is not None
+        assert len(fused.steps) == 2  # the kernel, then generated code
+        ev = evaluator(db, program)
+        assert set(fused.rows(ev)) == set(plain.rows(ev)) == {(2, 3, 20)}
+
+
+class TestGeneratedCounts:
+    def test_nothing_reached_builds_nothing(self, setup):
+        """Probes are resolved when the first row reaches them: a first
+        literal that matches nothing builds no delta-side or auto index,
+        and the probe count is one per row that reaches a probe."""
+        db, program = setup
+        for row in range(20):
+            db.relation("r").insert((100 + row, row))
+        plan = plan_for(
+            program,
+            (X, Z),
+            [PredLiteral("q", (X, 99), delta="+"), PredLiteral("r", (X, Z))],
+        )
+        deltas = {"q": DeltaSet(frozenset({(1, 5), (2, 6)}), frozenset())}
+        with metrics.collecting() as reg:
+            assert plan.rows(evaluator(db, program, deltas)) == []
+        counters = reg.counters()
+        assert counters.get("evaluate.delta_indexes_built", 0) == 1
+        assert counters.get("index.probes", 0) == 0
+        assert (0,) not in db.relation("r").indexes
+        deltas = {"q": DeltaSet(frozenset({(1, 99), (2, 99), (3, 7)}), frozenset())}
+        with metrics.collecting() as reg:
+            rows = plan.rows(evaluator(db, program, deltas))
+        assert set(rows) == {(1, 10), (2, 20)}
+        counters = reg.counters()
+        # one probe of r's new auto index per delta row with a 99
+        assert counters["index.probes"] == 2
+        assert counters["evaluate.batch_runs"] == 1
 
 
 class TestBoundSeeds:

@@ -28,9 +28,9 @@ import sys
 
 from repro.objectlog.batch import compile_plan
 from repro.objectlog.clause import HornClause
-from repro.objectlog.literals import Comparison, PredLiteral
+from repro.objectlog.literals import Assignment, Comparison, PredLiteral
 from repro.objectlog.program import Program
-from repro.objectlog.terms import Variable, ordered_variables
+from repro.objectlog.terms import Arith, Variable, ordered_variables
 
 # enough variables that hash-ordered iteration would be visibly unstable
 names = ["X", "Y", "Z", "W", "U", "V", "Alpha", "beta", "a1", "a2"]
@@ -62,6 +62,17 @@ clauses = [
             Comparison("<", V["W"], 7),
         ],
     ),
+    # generated expressions over a variable set: comparison and
+    # assignment operands in the source
+    HornClause(
+        PredLiteral("a", (V["X"], V["beta"])),
+        [
+            PredLiteral("e1", (V["X"], V["Y"])),
+            PredLiteral("e2", (V["Alpha"], V["Y"])),
+            Assignment(V["beta"], Arith("+", V["Y"], Arith("*", V["X"], 2))),
+            Comparison("<", V["beta"], V["Alpha"]),
+        ],
+    ),
     # delta-anchored differential shape
     HornClause(
         PredLiteral("d", (V["X"], V["Y"], V["Z"])),
@@ -89,6 +100,7 @@ for clause in clauses:
                 "steps": [
                     list(getattr(step, "wcoj", ())) for step in plan.steps
                 ],
+                "source": plan.source,
             }
         )
 digest.append(
@@ -125,7 +137,7 @@ class TestPlanDeterminism:
         )
 
     def test_ordered_variables_is_name_sorted(self):
-        from repro.objectlog.terms import Variable, ordered_variables
+        from repro.objectlog.terms import Arith, Variable, ordered_variables
 
         variables = {Variable(name) for name in ("b", "A", "c", "aa")}
         assert [v.name for v in ordered_variables(variables)] == [

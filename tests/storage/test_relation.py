@@ -200,7 +200,9 @@ class TestAutoIndexBudget:
         assert (0,) not in relation.indexes
         # a fresh prober must fall back to scan/recreate, not a dead index
         fresh = relation.prober((0,))
-        assert fresh((0,)) == relation.lookup((0,), (0,))
+        # a prober returns an iterable of rows (a one-row bucket is a
+        # 1-tuple), so compare as sets
+        assert set(fresh((0,))) == relation.lookup((0,), (0,))
 
     def test_prober_matches_lookup_with_and_without_metrics(self):
         from repro.obs import metrics
@@ -210,7 +212,7 @@ class TestAutoIndexBudget:
         raw = relation.prober((1,))
         key = (1 + 0 * 12,)
         expected = relation.lookup((1,), key)
-        assert raw(key) == expected
+        assert set(raw(key)) == expected
         with metrics.collecting() as registry:
             counted = relation.prober((1,))
             assert counted(key) == expected
