@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import builtins
 import types
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ObjectLogError, UnsafeClauseError
 from repro.objectlog.clause import HornClause
@@ -65,9 +65,17 @@ _PYTHON_COMPARATORS = {
 
 #: generated source -> its compiled ``run`` code object.  Constants are
 #: not in the text, so there is one entry per plan *shape*: a statement
-#: repeated with other values (``select quantity(:i)``) compiles once
+#: repeated with other values (``select quantity(:i)``) compiles once.
+#: The table is never pruned: it holds every shape compiled in the
+#: process (a few KB each), as the OID intern table holds every OID.
+#: Code objects are immutable, so threads share them freely; two that
+#: compile the same new text at once store equal objects
 _CODE: Dict[str, types.CodeType] = {}
-_NAMES: List[str] = []  # "K0", "K1", ...
+
+#: loops one generated function nests at most.  CPython refuses more
+#: than 20 statically nested blocks (``for regs in batch`` is one), so
+#: a longer body continues in a further function over the register lists
+_MAX_LOOPS = 16
 
 
 def _items(parts) -> str:
@@ -82,9 +90,7 @@ def _function(source: str, consts: List) -> types.FunctionType:
         module = compile(source, "<clause plan>", "exec")
         code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
         _CODE[source] = code
-    while len(_NAMES) < len(consts):
-        _NAMES.append(f"K{len(_NAMES)}")
-    namespace = dict(zip(_NAMES, consts))
+    namespace = {f"K{n}": value for n, value in enumerate(consts)}
     namespace["__builtins__"] = builtins
     return types.FunctionType(code, namespace, "run")
 
@@ -98,7 +104,10 @@ class _Segment:
     holding a value) is updated as literals bind.
     """
 
-    __slots__ = ("program", "slot_of", "bound", "consts", "lines", "indent", "lazy", "methods")
+    __slots__ = (
+        "program", "slot_of", "bound", "consts", "lines", "indent", "lazy", "methods",
+        "loops",
+    )
 
     def __init__(self, program: Program, slot_of: Dict[Variable, int], bound: Set[int]):
         self.program = program
@@ -109,6 +118,7 @@ class _Segment:
         self.indent = " " * 8  # inside ``def run`` and ``for regs in batch``
         self.lazy: List[str] = []  # probe locals resolved on first use
         self.methods: Dict[str, str] = {}  # evaluator method locals
+        self.loops = 0  # ``for`` loops opened
 
     # -- text helpers --------------------------------------------------------
 
@@ -183,6 +193,7 @@ class _Segment:
                 checks.append(f"c{pos} != {self.const(arg)}")
             names.append(f"c{pos}")
         target = "_" if not new and not checks else _items(names)
+        self.loops += 1
         if width:
             item = f"t{len(self.lines)}"
             self.emit(f"for {item} in {source}:")
@@ -305,29 +316,25 @@ class _Segment:
 
     # -- the function ----------------------------------------------------------
 
-    def finish(self, n_slots: int, head: str = None, passthrough: bool = False) -> str:
-        """The source of ``run(ev, batch, heads)``.  With ``head`` (the
-        plan's last segment) it appends head rows when ``heads`` is
-        true; otherwise, and without it, full register lists."""
+    def finish(self, n_slots: int, head: Optional[str] = None) -> str:
+        """The source of ``run(ev, batch)``: it appends ``head`` (a head
+        row's text, for the plan's last segment) or else the full
+        register list of every solution."""
         names = _items([f"r{slot}" for slot in range(n_slots)])
-        regs = f"[{names.rstrip(',')}]"
-        at = self.indent
         if head is None:
-            self.lines.append(f"{at}append({regs})")
-        else:
-            self.lines.append(
-                f"{at}if heads:\n{at}    append({head})\n{at}else:\n{at}    append({regs})"
-            )
-        preamble = [f"    {name} = ev.{attribute}\n" for name, attribute in self.methods.items()]
+            head = f"[{names.rstrip(',')}]"
+        self.lines.append(f"{self.indent}append({head})")
+        preamble = [
+            f"    {name} = ev.{attribute}\n" for name, attribute in self.methods.items()
+        ]
         if self.lazy:
             preamble.append(f"    {' = '.join(self.lazy)} = None\n")
-        if passthrough:
-            preamble.insert(0, "    if not heads:\n        return batch\n")
         unpack = f"        {names} = regs\n" if n_slots else ""
         body = "\n".join(self.lines)
         return (
-            "def run(ev, batch, heads):\n    out = []\n    append = out.append\n"
-            f"{''.join(preamble)}    for regs in batch:\n{unpack}{body}\n    return out\n"
+            "def run(ev, batch):\n    out = []\n    append = out.append\n"
+            f"{''.join(preamble)}    for regs in batch:\n{unpack}{body}\n"
+            "    return out\n"
         )
 
 
@@ -364,7 +371,10 @@ class ClausePlan:
         # (0 = pure pairwise probe chain); read by last_check_stats()
         self.fused = fused
 
-    def _run(self, evaluator, batch: List[Regs], heads: bool) -> List:
+    def rows(self, evaluator, seeds: List[Regs] = None) -> List[Row]:
+        """Every solution's head row, from the seed register lists or
+        else from one all-``None`` register list."""
+        batch = seeds if seeds is not None else [[None] * self.n_slots]
         reg = metrics.ACTIVE
         if reg is not None:
             reg.counter("evaluate.batch_runs").inc()
@@ -372,21 +382,10 @@ class ClausePlan:
         for step in self.steps:
             if not batch:
                 break
-            batch = step(evaluator, batch, heads)
+            batch = step(evaluator, batch)
         if reg is not None:
             reg.counter("evaluate.batch_solutions").inc(len(batch))
         return batch
-
-    def execute(self, evaluator, seeds: List[Regs]) -> List[Regs]:
-        """Every solution's register list, from the seed register lists."""
-        return self._run(evaluator, seeds, False)
-
-    def rows(self, evaluator, seeds: List[Regs] = None) -> List[Row]:
-        """Every solution's head row, from ``seeds`` or else from one
-        all-``None`` register list."""
-        if seeds is None:
-            seeds = [[None] * self.n_slots]
-        return self._run(evaluator, seeds, True)
 
     def __repr__(self) -> str:
         return f"ClausePlan({self.clause!r}, steps={len(self.steps)})"
@@ -513,17 +512,20 @@ def compile_plan(
     segment = _Segment(program, slot_of, bound)
     fused = 0
     for index, literal in enumerate(clause.body):
-        if index == fused_first:
-            from repro.objectlog.join import compile_wcoj_step
-
+        if index in fused_members and index != fused_first:
+            continue
+        if index == fused_first or segment.loops == _MAX_LOOPS:
             if segment.lines:
                 sources.append(segment.finish(n_slots))
                 steps.append(_function(sources[-1], segment.consts))
+            segment = _Segment(program, slot_of, bound)
+        if index == fused_first:
+            from repro.objectlog.join import compile_wcoj_step
+
             group = [clause.body[i] for i in sorted(fused_members)]
             steps.append(compile_wcoj_step(group, slot_of, bound))
             fused = len(group)
-            segment = _Segment(program, slot_of, bound)
-        elif index not in fused_members:
+        else:
             segment.literal(literal)
 
     for arg in clause.head.args:
@@ -532,9 +534,7 @@ def compile_plan(
                 f"head variable of {clause!r} still unbound after the body"
             )
     head = _items([segment.read(arg) for arg in clause.head.args])
-    sources.append(
-        segment.finish(n_slots, f"({head})", passthrough=not segment.lines)
-    )
+    sources.append(segment.finish(n_slots, f"({head})"))
     steps.append(_function(sources[-1], segment.consts))
 
     reg = metrics.ACTIVE

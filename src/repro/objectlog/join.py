@@ -182,8 +182,8 @@ def compile_wcoj_step(
     variables are joined level-by-level in the global order from
     :func:`wcoj_variable_order`.  ``bound`` is updated with the slots
     the step binds, as the generated code in :mod:`repro.objectlog.batch`
-    does.  The step never ends a plan (generated code emitting the head
-    rows follows it), so it ignores ``heads``.
+    does.  The step never ends a plan: generated code emitting the head
+    rows follows it.
     """
     order_vars = wcoj_variable_order(literals, slot_of, bound)
     if not order_vars:
@@ -222,7 +222,7 @@ def compile_wcoj_step(
     n_literals = len(specs)
     last_level = n_levels - 1
 
-    def step(evaluator, batch, heads=False):
+    def step(evaluator, batch):
         relation = evaluator.view.relation
         roots = [
             relation(pred).trie_index(order, auto=True).root

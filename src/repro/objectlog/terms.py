@@ -33,9 +33,7 @@ class Variable:
         return isinstance(other, Variable) and other.name == self.name
 
     def __hash__(self) -> int:
-        # a variable equals only a variable of the same name, so the
-        # name's own hash will do
-        return hash(self.name)
+        return hash(("Variable", self.name))
 
     def __repr__(self) -> str:
         return self.name

@@ -67,7 +67,7 @@ class TestPlanExecution:
 
     def test_fan_out_does_not_alias_registers(self, setup):
         """One seed register list matching several rows must fan out
-        into independent copies (the bind/bind_into split)."""
+        into independent solutions."""
         db, program = setup
         plan = plan_for(
             program,
@@ -277,6 +277,21 @@ class TestGeneratedLiterals:
         ev = evaluator(db, program)
         assert set(fused.rows(ev)) == set(plain.rows(ev)) == {(2, 3, 20)}
 
+    def test_long_chain_continues_in_a_further_function(self, setup):
+        """CPython nests at most 20 blocks in one function: a 25-literal
+        chain compiles to several generated functions over the register
+        lists, and still joins end to end."""
+        db, program = setup
+        program.declare_base("e", 2)
+        db.create_relation("e", 2).bulk_insert([(n, n + 1) for n in range(30)])
+        chain = [Variable(f"V{n}") for n in range(26)]
+        body = [PredLiteral("e", (a, b)) for a, b in zip(chain, chain[1:])]
+        plan = plan_for(program, (chain[0], chain[-1]), body)
+        assert len(plan.steps) == 2
+        assert plan.source.count("def run(") == 2
+        rows = plan.rows(evaluator(db, program))
+        assert sorted(rows) == [(n, n + 25) for n in range(6)]
+
 
 class TestGeneratedCounts:
     def test_nothing_reached_builds_nothing(self, setup):
@@ -322,9 +337,7 @@ class TestBoundSeeds:
             program, (X, Y), [PredLiteral("q", (X, Y))], bound_vars=(X,)
         )
         seeds = [[1] + [None] * (plan.n_slots - 1)]
-        out = plan.execute(evaluator(db, program), seeds)
-        rows = {(regs[plan.slot_of[X]], regs[plan.slot_of[Y]]) for regs in out}
-        assert rows == {(1, 1), (1, 2)}
+        assert set(plan.rows(evaluator(db, program), seeds)) == {(1, 1), (1, 2)}
 
 
 class TestPlanSafety:

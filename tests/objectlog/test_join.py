@@ -195,9 +195,9 @@ class TestKernelEquivalence:
         )
         assert fused.fused == 3
         seeds = [[x, None, None] for x in range(3)]
-        got = fused.execute(evaluator, [list(s) for s in seeds])
-        want = plain.execute(evaluator, [list(s) for s in seeds])
-        assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+        got = fused.rows(evaluator, [list(s) for s in seeds])
+        want = plain.rows(evaluator, [list(s) for s in seeds])
+        assert sorted(got) == sorted(want)
         assert got, "seeded execution must produce rows"
 
     def test_repeated_variable_within_literal(self, triangle):
