@@ -1,6 +1,7 @@
 """Shared helpers for the benchmark suite."""
 
 import os
+import platform
 import sys
 import time
 
@@ -39,3 +40,22 @@ def best_of(trials, run_trial):
         best_check = min(best_check, check)
         best_total = min(best_total, total)
     return best_check, best_total
+
+
+def hardware():
+    """The host the cells were measured on (the artifact's meta)."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu": model,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }

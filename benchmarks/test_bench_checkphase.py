@@ -33,7 +33,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import CheckPhaseTimer, best_of
+from benchmarks.conftest import CheckPhaseTimer, best_of, hardware
 
 from repro.bench.harness import Measurement, Sweep
 from repro.bench.workload import build_inventory
@@ -143,6 +143,7 @@ def sweep():
             "churn_transactions": CHURN_TXNS,
             "massive_items": MASSIVE_SIZE,
             "full_transaction_ms": full_txn_ms,
+            "hardware": hardware(),
         },
     )
     print(f"wrote {artifact}")

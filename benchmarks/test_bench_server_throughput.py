@@ -13,11 +13,12 @@ Run:  pytest benchmarks/test_bench_server_throughput.py -s
 
 import json
 import os
-import platform
 import threading
 import time
 
 import pytest
+
+from benchmarks.conftest import hardware
 
 from repro.bench.harness import Measurement, Sweep
 from repro.bench.workload import build_inventory
@@ -26,25 +27,6 @@ from repro.server import AmosClient, AmosServer
 SESSION_COUNTS = [1, 4, 16]
 COMMITS_PER_SESSION = 8
 ITEMS_PER_SESSION = 2
-
-
-def hardware():
-    """The host the cells were measured on (the artifact's meta)."""
-    model = platform.processor() or platform.machine()
-    try:
-        with open("/proc/cpuinfo") as handle:
-            for line in handle:
-                if line.startswith("model name"):
-                    model = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    return {
-        "cpu": model,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
 
 
 def drive_sessions(n_sessions):
