@@ -365,18 +365,11 @@ class AmosDatabase:
 
     def get_values(self, name: str, args: Sequence) -> FrozenSet[Tuple]:
         """All result tuples of ``f(args)`` (any function kind)."""
-        function = self.function(name)
-        evaluator = self.evaluator()
-        from repro.objectlog.terms import fresh_variable
-
-        out_vars = tuple(
-            fresh_variable("_R") for _ in range(function.signature.n_results)
+        self.function(name)  # an unknown function raises AmosError
+        n_args = len(args)
+        return frozenset(
+            row[n_args:] for row in self.evaluator().rows(name, enumerate(args))
         )
-        call_args = tuple(args) + out_vars
-        results = set()
-        for env in evaluator.query(name, call_args):
-            results.add(tuple(env[v] for v in out_vars))
-        return frozenset(results)
 
     def value(self, name: str, *args) -> Optional[object]:
         """The single result of ``f(args)``; None when undefined.

@@ -5,7 +5,6 @@ from repro.amosql.interpreter import AmosqlEngine
 from repro.amosql.lexer import Token, tokenize
 from repro.amosql.parser import Parser, parse, parse_statement
 from repro.amosql.repl import Repl
-from repro.amosql.unparse import unparse_expr, unparse_pred, unparse_statement
 
 __all__ = [
     "CompiledQuery",
@@ -17,7 +16,4 @@ __all__ = [
     "parse",
     "parse_statement",
     "Repl",
-    "unparse_expr",
-    "unparse_pred",
-    "unparse_statement",
 ]

@@ -24,9 +24,12 @@ module does):
   itself (:meth:`~repro.algebra.delta.DeltaSet.side`), so keyed delta
   probes do not scan the whole side.  Each probe is resolved through
   the evaluator at most once per run, when the first row reaches it;
-* derived, aggregate, negated and foreign literals call the
+* derived, aggregate and negated literals call the
   :class:`~repro.objectlog.evaluate.Evaluator` passed at run time, so
-  its memo table is shared with every other plan executed on it.
+  its memo table is shared with every other plan executed on it; a
+  negated foreign or aggregate literal asks its fully bound goal plan
+  (:meth:`~repro.objectlog.evaluate.Evaluator.rows`).  A foreign
+  function is called inline.
 
 A fused worst-case-optimal join (:mod:`repro.objectlog.join`) stays a
 batch step of its own: such a plan runs generated code, the kernel,
@@ -157,13 +160,13 @@ class _Segment:
                 values.append(f"r{slot_of[arg]}")
         return cols, values
 
-    def call(self, method: str, definition, args: Tuple) -> Tuple[List[int], str]:
-        """``method(definition, ((pos, value), ...))`` over the bound
-        ``args`` — a derived or aggregate extension, restricted."""
+    def call(self, method: str, target, args: Tuple) -> Tuple[List[int], str]:
+        """``method(target, ((pos, value), ...))`` over the bound
+        ``args`` — a derived, aggregate or goal extension, restricted."""
         self.methods[method] = method
         cols, values = self.bound_args(args)
         pairs = _items([f"({pos}, {value})" for pos, value in zip(cols, values)])
-        return cols, f"{method}({self.const(definition)}, ({pairs}))"
+        return cols, f"{method}({self.const(target)}, ({pairs}))"
 
     def loop(self, args: Tuple, matched: Set[int], source: str, width: int = 0) -> None:
         """Open ``for`` over ``source``'s rows, unifying each with ``args``.
@@ -286,14 +289,8 @@ class _Segment:
         elif isinstance(definition, DerivedPredicate):
             test = self.call("derived_rows", definition, args)[1]
         else:
-            # foreign / aggregate negation: ask the evaluator's generic
-            # literal machinery for one solution (rare)
-            env = ", ".join(
-                f"{self.const(var)}: {self.read(var)}"
-                for var in ordered_variables(literal.variables())
-            )
-            positive = self.const(PredLiteral(literal.pred, args))
-            test = f"next(ev._eval_literal({positive}, {{{env}}}), None) is not None"
+            # foreign / aggregate negation: the goal plan, fully bound
+            test = self.call("rows", literal.pred, args)[1]
         self.emit(f"if {test}: continue")
 
     def foreign(self, literal: PredLiteral, definition: ForeignPredicate) -> None:

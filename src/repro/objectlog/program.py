@@ -155,7 +155,7 @@ class Program:
     """The predicate catalog plus dependency analysis.
 
     ``version`` moves on every declare, drop and ``add_clause``; the
-    compiled derived plans every evaluator over this program shares
+    compiled goal plans every evaluator over this program shares
     (:meth:`derived_plans`) are valid for one version only.
     """
 

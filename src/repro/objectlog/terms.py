@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Union
 
 from repro.errors import ObjectLogError
 
@@ -53,44 +53,6 @@ def fresh_variable(prefix: str = "_G") -> Variable:
 def is_variable(term: object) -> bool:
     """True when ``term`` is a logic variable (not a constant)."""
     return isinstance(term, Variable)
-
-
-def resolve(term: Term, env: Mapping[Variable, object]) -> Term:
-    """Replace a variable by its binding when bound; constants pass through."""
-    if isinstance(term, Variable):
-        return env.get(term, term)
-    return term
-
-
-def is_bound(term: Term, env: Mapping[Variable, object]) -> bool:
-    return not isinstance(term, Variable) or term in env
-
-
-def bind_row(
-    args: Tuple[Term, ...], row: Tuple, env: Env
-) -> Union[Env, None]:
-    """Unify literal arguments against a stored row; None on mismatch.
-
-    Repeated variables in ``args`` must match equal values (this is what
-    makes ``supplies(I, S) & delivery_time(I, S, D)`` a join).  The
-    returned environment may be ``env`` itself when nothing new was
-    bound; callers must treat environments as immutable.
-    """
-    new_env = env
-    copied = False
-    for arg, value in zip(args, row):
-        if isinstance(arg, Variable):
-            if arg in new_env:
-                if new_env[arg] != value:
-                    return None
-            else:
-                if not copied:
-                    new_env = dict(new_env)
-                    copied = True
-                new_env[arg] = value
-        elif arg != value:
-            return None
-    return new_env
 
 
 _OPS = {

@@ -24,13 +24,10 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 from repro.algebra.delta import DeltaSet
 from repro.algebra.oldstate import NewStateView, OldStateView, StateView
 from repro.objectlog.batch import ClausePlan, compile_plan
-from repro.objectlog.clause import HornClause
-from repro.objectlog.evaluate import Evaluator
+from repro.objectlog.evaluate import Evaluator, goal_plans
 from repro.objectlog.expand import expand_predicate
-from repro.objectlog.literals import PredLiteral
 from repro.objectlog.optimize import order_clause
 from repro.objectlog.program import Program
-from repro.objectlog.terms import fresh_variable
 from repro.rules.network import PropagationNetwork
 from repro.rules.propagation import PropagationTrace, Propagator
 from repro.storage.database import Database
@@ -149,14 +146,10 @@ class NaiveEngine(MonitoringEngine):
 
     def _compile(self, condition: str) -> List[ClausePlan]:
         """One pairwise plan per expanded clause of ``condition``; a
-        condition that is not derived is read as one goal literal."""
+        condition that is not derived is read by its goal plan."""
         clauses = expand_predicate(self.program, condition)
         if not clauses:
-            arity = self.program.predicate(condition).arity
-            goal = PredLiteral(
-                condition, tuple(fresh_variable("_C") for _ in range(arity))
-            )
-            clauses = [HornClause(goal, [goal])]
+            return goal_plans(self.program, condition, ())
         return [
             compile_plan(order_clause(clause, self.program), self.program)
             for clause in clauses

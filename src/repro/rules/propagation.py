@@ -350,18 +350,10 @@ class Propagator:
         old_eval = self._old_eval
         plus: set = set()
         minus: set = set()
-        from repro.objectlog.terms import fresh_variable
-
         for group in touched:
-            probe = group + (fresh_variable("_A"),)
-            new_rows = {
-                group + (env[probe[-1]],)
-                for env in new_eval.query(definition.name, probe)
-            }
-            old_rows = {
-                group + (env[probe[-1]],)
-                for env in old_eval.query(definition.name, probe)
-            }
+            bound = tuple(enumerate(group))
+            new_rows = set(new_eval.aggregate_rows(definition, bound))
+            old_rows = set(old_eval.aggregate_rows(definition, bound))
             plus |= new_rows - old_rows
             minus |= old_rows - new_rows
         delta = DeltaSet(frozenset(plus) - frozenset(minus),

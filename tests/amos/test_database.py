@@ -63,6 +63,18 @@ class TestStoredFunctions:
         assert amos.value("quantity", item) == 20
         assert amos.get_values("quantity", (item,)) == {(20,)}
 
+    def test_value_is_one_index_probe(self, amos):
+        from repro.obs import metrics
+
+        items = amos.create_objects("item", 20)
+        for n, item in enumerate(items):
+            amos.set_value("quantity", (item,), n)
+        amos.value("quantity", items[0])  # past the auto-index threshold
+        with metrics.collecting() as registry:
+            assert amos.value("quantity", items[7]) == 7
+        assert registry.value("index.probes") == 1
+        assert registry.value("relation.scans") == 0
+
     def test_undefined_value_is_none(self, amos):
         item = amos.create_object("item")
         assert amos.value("quantity", item) is None

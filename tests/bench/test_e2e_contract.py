@@ -32,6 +32,7 @@ STALE_COUNTERS = {
     "join.ho_disabled",
     "evaluate.prober_cache.hits",
     "evaluate.prober_cache.misses",
+    "evaluate.env_extensions",
     "shard.exchange_bytes",
     "shard.pool.forks",
     "shard.pool.respawns",

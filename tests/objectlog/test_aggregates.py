@@ -93,14 +93,14 @@ class TestEvaluation:
         db, program = setup
         program.declare_aggregate("total", "sales", 1, "sum")
         evaluator = Evaluator(program, NewStateView(db))
-        envs = list(evaluator.query("total", ("south", V)))
-        assert [env[V] for env in envs] == [70]
+        rows = evaluator.rows("total", ((0, "south"),))
+        assert [row[1] for row in rows] == [70]
 
     def test_empty_group_is_undefined(self, setup):
         db, program = setup
         program.declare_aggregate("total", "sales", 1, "sum")
         evaluator = Evaluator(program, NewStateView(db))
-        assert list(evaluator.query("total", ("west", V))) == []
+        assert list(evaluator.rows("total", ((0, "west"),))) == []
 
     def test_zero_group_aggregate(self, setup):
         """A 0-ary group: one global aggregate row."""

@@ -2,7 +2,8 @@
 
 Clause bodies run the one way the product runs them: statically
 ordered and compiled to a :class:`~repro.objectlog.batch.ClausePlan`
-(:func:`solve`); single goals go through :meth:`Evaluator.query`.
+(:func:`solve`); a single goal is the same: :meth:`Evaluator.rows`
+seeds the predicate's goal plan.
 """
 
 import pytest
@@ -61,18 +62,17 @@ def solve(ev, body):
 class TestBaseEvaluation:
     def test_full_scan(self, setup):
         db, program = setup
-        rows = {tuple(env[v] for v in (X, Y))
-                for env in evaluator(db, program).query("q", (X, Y))}
+        rows = set(evaluator(db, program).rows("q"))
         assert rows == {(1, 1), (1, 2), (2, 3)}
 
     def test_bound_argument_probes(self, setup):
         db, program = setup
-        envs = list(evaluator(db, program).query("q", (1, Y)))
-        assert {env[Y] for env in envs} == {1, 2}
+        rows = evaluator(db, program).rows("q", ((0, 1),))
+        assert {row[1] for row in rows} == {1, 2}
 
     def test_constant_mismatch_fails(self, setup):
         db, program = setup
-        assert list(evaluator(db, program).query("q", (9, Y))) == []
+        assert list(evaluator(db, program).rows("q", ((0, 9),))) == []
 
     def test_join_via_shared_variable(self, setup):
         db, program = setup
@@ -85,7 +85,7 @@ class TestBaseEvaluation:
 
     def test_repeated_variable_is_selection(self, setup):
         db, program = setup
-        envs = list(evaluator(db, program).query("q", (X, X)))
+        envs = solve(evaluator(db, program), [PredLiteral("q", (X, X))])
         assert [env[X] for env in envs] == [1]
 
 
@@ -178,8 +178,8 @@ class TestDerived:
                 [PredLiteral("q", (X, Y)), PredLiteral("r", (Y, Z))],
             )
         )
-        envs = list(evaluator(db, program).query("p", (2, Z)))
-        assert [env[Z] for env in envs] == [30]
+        rows = evaluator(db, program).rows("p", ((0, 2),))
+        assert [row[1] for row in rows] == [30]
 
     def test_multiple_clauses_union(self, setup):
         db, program = setup
@@ -194,8 +194,8 @@ class TestDerived:
         # both clauses derive (1,)
         program.add_clause(HornClause(PredLiteral("d", (X,)), [PredLiteral("q", (X, 1))]))
         program.add_clause(HornClause(PredLiteral("d", (X,)), [PredLiteral("q", (X, 2))]))
-        envs = list(evaluator(db, program).query("d", (X,)))
-        assert [env[X] for env in envs] == [1]
+        rows = evaluator(db, program).rows("d")
+        assert [row[0] for row in rows] == [1]
 
     def test_recursion_detected(self, setup):
         db, program = setup
@@ -220,8 +220,8 @@ class TestDerived:
             )
         )
         ev = evaluator(db, program)
-        assert ev.holds("p", (1, 10))
-        assert not ev.holds("p", (1, 30))
+        assert ev.derivable("p", [(1, 10)]) == {(1, 10)}
+        assert not ev.derivable("p", [(1, 30)])
 
     def test_memoization_caches_extensions(self, setup):
         db, program = setup
@@ -235,7 +235,7 @@ class TestDerived:
     def test_unknown_predicate(self, setup):
         db, program = setup
         with pytest.raises(UnknownPredicateError):
-            list(evaluator(db, program).query("nope", (X,)))
+            list(evaluator(db, program).rows("nope"))
 
 
 class TestForeign:
@@ -250,8 +250,8 @@ class TestForeign:
     def test_foreign_scalar_results(self, setup):
         db, program = setup
         program.declare_foreign("inc", 2, 1, lambda x: [x + 1])
-        envs = list(evaluator(db, program).query("inc", (4, Z)))
-        assert [env[Z] for env in envs] == [5]
+        rows = evaluator(db, program).rows("inc", ((0, 4),))
+        assert [row[1] for row in rows] == [5]
 
     def test_foreign_test_only(self, setup):
         db, program = setup
@@ -308,7 +308,7 @@ class TestOldStateEvaluation:
         db.relation("q").delete((1, 1))
         deltas = {"q": DeltaSet({(9, 9)}, {(1, 1)})}
         old_ev = Evaluator(program, OldStateView(db, deltas))
-        rows = {(env[X], env[Y]) for env in old_ev.query("q", (X, Y))}
+        rows = set(old_ev.rows("q"))
         assert rows == {(1, 1), (1, 2), (2, 3)}
 
     def test_compiled_clause_yields_head_rows(self, setup):
@@ -486,3 +486,89 @@ class TestCompiledDerived:
         assert rows == self.reference(program, view, "p", ())
         assert ("p", ()) in program.derived_plans()
         assert (2, 30) not in rows  # (2,3) was inserted this txn
+
+
+#: one predicate of each kind, all of arity 2, and a row each one holds
+GOAL_SAMPLES = {"q": (1, 2), "p": (1, 10), "pairs": (1, 2), "total": (1, 3)}
+
+#: ``(position, value)`` bindings built from a kind's sample row
+GOAL_BINDINGS = {
+    "none": lambda row: (),
+    "partial": lambda row: ((1, row[1]),),
+    "full": lambda row: ((0, row[0]), (1, row[1])),
+    "constant_mismatch": lambda row: ((0, 99),),
+    "repeated_variable": lambda row: ((0, row[0]), (0, row[0])),
+    "repeated_conflict": lambda row: ((0, row[0]), (0, 99)),
+}
+
+
+class TestGoalPath:
+    """Every single-predicate goal is a seeded compiled plan: whatever
+    the predicate kind and whichever positions are bound, ``rows()`` is
+    the matching part of ``extension()`` and, where brute force
+    reaches, of the reference."""
+
+    @staticmethod
+    def build():
+        db = Database()
+        db.create_relation("q", 2).bulk_insert([(1, 1), (1, 2), (2, 3)])
+        db.create_relation("r", 2).bulk_insert([(1, 10), (2, 20), (3, 30)])
+        program = Program()
+        program.declare_base("q", 2)
+        program.declare_base("r", 2)
+        program.declare_derived("p", 2)
+        program.add_clause(
+            HornClause(
+                PredLiteral("p", (X, Z)),
+                [PredLiteral("q", (X, Y)), PredLiteral("r", (Y, Z))],
+            )
+        )
+        # a repeated head variable and a constant head position
+        program.add_clause(
+            HornClause(PredLiteral("p", (X, X)), [PredLiteral("q", (X, X))])
+        )
+        program.add_clause(
+            HornClause(PredLiteral("p", (3, Y)), [PredLiteral("r", (Y, 30))])
+        )
+        program.declare_foreign("pairs", 2, 0, lambda: [(1, 2), (1, 3), (2, 2)])
+        program.declare_aggregate("total", "q", 1, "sum")
+        return db, program
+
+    @pytest.mark.parametrize("binding", sorted(GOAL_BINDINGS))
+    @pytest.mark.parametrize("kind", sorted(GOAL_SAMPLES))
+    def test_rows_is_the_matching_part_of_the_extension(self, kind, binding):
+        db, program = self.build()
+        view = NewStateView(db)
+        extension = Evaluator(program, view).extension(kind)
+        assert GOAL_SAMPLES[kind] in extension
+        bound = GOAL_BINDINGS[binding](GOAL_SAMPLES[kind])
+
+        def matching(rows):
+            return {
+                row
+                for row in rows
+                if all(row[position] == value for position, value in bound)
+            }
+
+        rows = Evaluator(program, view).rows(kind, bound)
+        # sorted lists, so a duplicate row shows too
+        assert sorted(rows) == sorted(matching(extension))
+        if kind in ("q", "p"):
+            reference = BruteForce(program, view).extension(kind)
+            assert matching(rows) == matching(reference)
+
+    @pytest.mark.parametrize("kind", sorted(GOAL_SAMPLES))
+    def test_derivable_is_membership_for_every_kind(self, kind):
+        db, program = self.build()
+        ev = Evaluator(program, NewStateView(db))
+        extension = ev.extension(kind)
+        candidates = set(extension) | {(99, 99), (1, 99)}
+        assert ev.derivable(kind, candidates) == extension
+
+    def test_goal_plans_are_cached_per_bound_shape(self):
+        db, program = self.build()
+        ev = Evaluator(program, NewStateView(db))
+        ev.rows("q", ((0, 1),))
+        entry = program.derived_plans()[("q", (0,))]
+        ev.rows("q", ((0, 2),))
+        assert program.derived_plans()[("q", (0,))] is entry

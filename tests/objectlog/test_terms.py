@@ -1,4 +1,4 @@
-"""Tests for ObjectLog terms, environments, and arithmetic expressions."""
+"""Tests for ObjectLog terms and arithmetic expressions."""
 
 import pytest
 
@@ -6,14 +6,11 @@ from repro.errors import ObjectLogError
 from repro.objectlog.terms import (
     Arith,
     Variable,
-    bind_row,
     eval_expr,
     expr_variables,
     fresh_variable,
-    is_bound,
     is_variable,
     rename_expr,
-    resolve,
 )
 
 X = Variable("X")
@@ -33,38 +30,6 @@ class TestVariable:
         assert is_variable(X)
         assert not is_variable(3)
         assert not is_variable("X")
-
-    def test_resolve_and_is_bound(self):
-        env = {X: 7}
-        assert resolve(X, env) == 7
-        assert resolve(Y, env) == Y
-        assert resolve(42, env) == 42
-        assert is_bound(X, env)
-        assert not is_bound(Y, env)
-        assert is_bound("constant", env)
-
-
-class TestBindRow:
-    def test_binds_new_variables(self):
-        env = bind_row((X, Y), (1, 2), {})
-        assert env == {X: 1, Y: 2}
-
-    def test_respects_existing_bindings(self):
-        assert bind_row((X,), (1,), {X: 1}) == {X: 1}
-        assert bind_row((X,), (2,), {X: 1}) is None
-
-    def test_constants_must_match(self):
-        assert bind_row((1, Y), (1, 2), {}) == {Y: 2}
-        assert bind_row((1, Y), (9, 2), {}) is None
-
-    def test_repeated_variable_join_semantics(self):
-        assert bind_row((X, X), (1, 1), {}) == {X: 1}
-        assert bind_row((X, X), (1, 2), {}) is None
-
-    def test_original_env_not_mutated(self):
-        env = {X: 1}
-        bind_row((X, Y), (1, 2), env)
-        assert env == {X: 1}
 
 
 class TestArith:
